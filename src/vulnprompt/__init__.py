@@ -25,11 +25,10 @@ from .llmclient import (
     RemoteChatProvider,
     ResponseCache,
     complete,
-    mock_provider,
     oracle_for_corpus,
 )
 from .metrics import LabeledPair, MetricsReport, report
-from .prompting import PromptSpec, Shot, ShotOrder, Strategy, render, select_random, select_retrieval
+from .prompting import PromptSpec, Shot, ShotOrder, Strategy, render, select_random
 from .runner import (
     PredictionRecord,
     RunReport,
@@ -43,7 +42,7 @@ from .runner import (
     run,
 )
 from .synthetic import make_synthetic_corpus
-from .vecindex import IndexEntry, Neighbor, VectorIndex, build, cosine, load_index, save_index, top_k
+from .vecindex import IndexEntry, Neighbor, VectorIndex, build, load_index, save_index, top_k
 
 __version__ = "0.1.0"
 
@@ -86,7 +85,6 @@ __all__ = [
     "build_index_from_corpus",
     "cells_from_records",
     "complete",
-    "cosine",
     "emit_curves",
     "emit_table",
     "format_labels",
@@ -96,7 +94,6 @@ __all__ = [
     "load_index",
     "load_records",
     "make_synthetic_corpus",
-    "mock_provider",
     "oracle_for_corpus",
     "parse_labels",
     "render",
@@ -105,7 +102,6 @@ __all__ = [
     "run",
     "save_index",
     "select_random",
-    "select_retrieval",
     "top_k",
     "validate",
 ]

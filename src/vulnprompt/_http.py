@@ -1,0 +1,108 @@
+"""JSON POST with retries, shared by the remote chat and embedding clients.
+
+Both endpoints speak the same transport contract: a JSON request body, an
+optional bearer key read from an environment variable, 5xx and 429 answers
+retried with exponential backoff, any other non-200 status fatal, and a JSON
+object as the answer. Each client passes in its own exception classes so its
+callers catch the same types they always have. The module imports nothing
+from the package, so either client module can import it without a cycle.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import os
+import threading
+import time
+
+
+class JsonPostClient:
+    """POSTs JSON payloads to one endpoint and returns the decoded object.
+
+    A transport failure or a 5xx/429 status is retried up to `retries`
+    attempts in total, sleeping `retry_base_delay_s * 2**(attempt - 1)`
+    before each retry; exhausting them raises `transport_error`. Any other
+    non-200 status, and a 200 whose body is not a JSON object, raises
+    `error` at once. With `max_in_flight` set, at most that many POSTs are
+    outstanding at a time; the backoff sleep happens outside that limit.
+    """
+
+    def __init__(
+        self,
+        endpoint: str,
+        *,
+        api_key_env: str,
+        timeout_s: float,
+        retries: int,
+        retry_base_delay_s: float,
+        transport_error: type,
+        error: type,
+        max_in_flight: int | None = None,
+        session=None,
+        sleep=time.sleep,
+    ) -> None:
+        if retries < 1:
+            raise ValueError(f"retries must be >= 1, got {retries}")
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self.endpoint = endpoint
+        self.api_key_env = api_key_env
+        self.timeout_s = timeout_s
+        self.retries = retries
+        self.retry_base_delay_s = retry_base_delay_s
+        self._transport_error = transport_error
+        self._error = error
+        # The session's post is looked up on every attempt, so a caller may
+        # replace it on the instance after this client is built.
+        self._session = session
+        self._sleep = sleep
+        self._gate = (
+            threading.Semaphore(max_in_flight)
+            if max_in_flight is not None
+            else contextlib.nullcontext()
+        )
+
+    def _headers(self) -> dict:
+        headers = {"Content-Type": "application/json"}
+        key = os.environ.get(self.api_key_env)
+        if key:
+            headers["Authorization"] = f"Bearer {key}"
+        return headers
+
+    def post(self, payload: dict) -> dict:
+        last_error: Exception | None = None
+        for attempt in range(self.retries):
+            if attempt:
+                self._sleep(self.retry_base_delay_s * (2 ** (attempt - 1)))
+            try:
+                with self._gate:
+                    response = self._session.post(
+                        self.endpoint,
+                        json=payload,
+                        headers=self._headers(),
+                        timeout=self.timeout_s,
+                    )
+            except Exception as exc:
+                last_error = self._transport_error(f"request failed: {exc}")
+                continue
+            status = response.status_code
+            if status == 200:
+                return self._decode(response)
+            if status >= 500 or status == 429:
+                last_error = self._transport_error(f"endpoint returned status {status}")
+                continue
+            raise self._error(f"endpoint returned status {status}: {response.text[:200]}")
+        raise self._transport_error(
+            f"giving up after {self.retries} attempts: {last_error}"
+        )
+
+    def _decode(self, response) -> dict:
+        try:
+            body = response.json()
+        except ValueError as exc:
+            raise self._error(f"endpoint returned a non-JSON body: {exc}") from None
+        if not isinstance(body, dict):
+            raise self._error("endpoint response is not a JSON object")
+        return body

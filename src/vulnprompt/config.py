@@ -60,6 +60,8 @@ class ProviderSettings:
             raise ConfigError(f"unknown provider type {self.type!r}")
         if self.max_in_flight < 1:
             raise ConfigError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
+        if self.retries < 1:
+            raise ConfigError(f"retries must be >= 1, got {self.retries}")
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,8 @@ class ExperimentConfig:
             raise ConfigError("output_dir must be non-empty")
         if not self.strategies:
             raise ConfigError("at least one strategy is required")
+        if len(set(self.strategies)) != len(self.strategies):
+            raise ConfigError("strategies must be unique")
         if not self.shot_counts:
             raise ConfigError("at least one shot count is required")
         for k in self.shot_counts:

@@ -12,11 +12,11 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-import threading
 import time
 from dataclasses import dataclass
 from typing import Protocol
 
+from ._http import JsonPostClient
 from .labels import CweLabel, format_labels
 
 NORM_TOLERANCE = 1e-9
@@ -35,15 +35,6 @@ class EmbeddingTransportError(EmbeddingError):
 
 class EmbeddingInputTooLarge(EmbeddingError):
     """Input exceeds the backend's maximum size; reported before any call."""
-
-
-class EmbeddingBatchError(EmbeddingError):
-    """One or more items of a batch failed; carries (index, error) pairs."""
-
-    def __init__(self, failures: list) -> None:
-        self.failures = list(failures)
-        summary = "; ".join(f"item {idx}: {err}" for idx, err in self.failures)
-        super().__init__(f"{len(self.failures)} batch item(s) failed: {summary}")
 
 
 @dataclass(frozen=True)
@@ -109,22 +100,6 @@ class EmbeddingBackend(Protocol):
 
     def embed(self, item: EmbeddingInput) -> EmbeddingVector: ...
 
-    def embed_batch(self, items: list) -> list: ...
-
-
-def _batch_via_embed(backend, items: list) -> list:
-    """Per-item embedding with aggregated failures and no partial results."""
-    results: list = []
-    failures: list = []
-    for idx, item in enumerate(items):
-        try:
-            results.append(backend.embed(item))
-        except EmbeddingError as exc:
-            failures.append((idx, exc))
-    if failures:
-        raise EmbeddingBatchError(failures)
-    return results
-
 
 class HashedBagOfTokensBackend:
     """Deterministic offline embedding via signed token hashing.
@@ -152,9 +127,6 @@ class HashedBagOfTokensBackend:
             raise EmbeddingError("token contributions cancelled to a zero vector")
         return EmbeddingVector(values=tuple(v / norm for v in accum))
 
-    def embed_batch(self, items: list) -> list:
-        return _batch_via_embed(self, items)
-
 
 class RemoteEmbeddingBackend:
     """Client for an embedding endpoint speaking a small JSON contract.
@@ -176,34 +148,23 @@ class RemoteEmbeddingBackend:
         retries: int = 3,
         retry_base_delay_s: float = 0.5,
         max_input_chars: int = 100_000,
-        max_in_flight: int = 4,
         session=None,
         sleep=time.sleep,
     ) -> None:
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self.endpoint = endpoint
         self.model = model
         self.dimension = dimension
-        self.api_key_env = api_key_env
-        self.timeout_s = timeout_s
-        self.retries = retries
-        self.retry_base_delay_s = retry_base_delay_s
         self.max_input_chars = max_input_chars
-        self._session = session
-        self._sleep = sleep
-        self._semaphore = threading.Semaphore(max_in_flight)
-
-    def _headers(self) -> dict:
-        import os
-
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.api_key_env)
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
+        self._http = JsonPostClient(
+            endpoint,
+            api_key_env=api_key_env,
+            timeout_s=timeout_s,
+            retries=retries,
+            retry_base_delay_s=retry_base_delay_s,
+            transport_error=EmbeddingTransportError,
+            error=EmbeddingError,
+            session=session,
+            sleep=sleep,
+        )
 
     def embed(self, item: EmbeddingInput) -> EmbeddingVector:
         text = item.rendered_text()
@@ -211,45 +172,13 @@ class RemoteEmbeddingBackend:
             raise EmbeddingInputTooLarge(
                 f"input is {len(text)} chars, limit is {self.max_input_chars}"
             )
-        payload = {"model": self.model, "input": text}
-        last_error: Exception | None = None
-        for attempt in range(self.retries):
-            if attempt:
-                self._sleep(self.retry_base_delay_s * (2 ** (attempt - 1)))
-            try:
-                with self._semaphore:
-                    response = self._session.post(
-                        self.endpoint,
-                        json=payload,
-                        headers=self._headers(),
-                        timeout=self.timeout_s,
-                    )
-            except Exception as exc:
-                last_error = EmbeddingTransportError(f"request failed: {exc}")
-                continue
-            if response.status_code == 200:
-                body = response.json()
-                raw = body.get("embedding")
-                if not isinstance(raw, list) or len(raw) != self.dimension:
-                    raise EmbeddingError(
-                        f"endpoint returned {len(raw) if isinstance(raw, list) else 'no'}"
-                        f" values, expected {self.dimension}"
-                    )
-                norm = math.sqrt(sum(float(v) ** 2 for v in raw))
-                if norm == 0.0:
-                    raise EmbeddingError("endpoint returned a zero vector")
-                return EmbeddingVector(values=tuple(float(v) / norm for v in raw))
-            if response.status_code >= 500 or response.status_code == 429:
-                last_error = EmbeddingTransportError(
-                    f"endpoint returned status {response.status_code}"
-                )
-                continue
+        raw = self._http.post({"model": self.model, "input": text}).get("embedding")
+        if not isinstance(raw, list) or len(raw) != self.dimension:
             raise EmbeddingError(
-                f"endpoint returned status {response.status_code}: {response.text[:200]}"
+                f"endpoint returned {len(raw) if isinstance(raw, list) else 'no'}"
+                f" values, expected {self.dimension}"
             )
-        raise EmbeddingTransportError(
-            f"giving up after {self.retries} attempts: {last_error}"
-        )
-
-    def embed_batch(self, items: list) -> list:
-        return _batch_via_embed(self, items)
+        norm = math.sqrt(sum(float(v) ** 2 for v in raw))
+        if norm == 0.0:
+            raise EmbeddingError("endpoint returned a zero vector")
+        return EmbeddingVector(values=tuple(float(v) / norm for v in raw))

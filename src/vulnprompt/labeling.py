@@ -16,8 +16,6 @@ from .labels import CweLabel
 
 _CWE_MENTION_RE = re.compile(r"cwe[\s\-_]?(\d+)", re.IGNORECASE)
 
-_IN_SCOPE_NUMBERS = {"119", "120", "469", "476"}
-
 _BY_NUMBER = {str(label.number): label for label in CweLabel}
 
 
@@ -51,7 +49,7 @@ def parse_labels(text: str) -> ParseOutcome:
     for match in _CWE_MENTION_RE.finditer(text):
         matched = True
         digits = match.group(1)
-        if digits in _IN_SCOPE_NUMBERS:
+        if digits in _BY_NUMBER:
             labels.add(_BY_NUMBER[digits])
         elif digits not in unknown:
             unknown.append(digits)

@@ -28,11 +28,7 @@ class CweLabel(enum.Enum):
         return self.value
 
 
-LabelSet = frozenset  # frozenset[CweLabel]
-
 ALL_LABELS: tuple[CweLabel, ...] = tuple(sorted(CweLabel, key=lambda label: label.number))
-
-EMPTY_LABELS: frozenset[CweLabel] = frozenset()
 
 
 def parse_label(code: str) -> CweLabel:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
+from ._http import JsonPostClient
 from .labels import format_labels
 from .prompting import extract_test_code, shot_label_lines
 
@@ -240,21 +241,6 @@ def oracle_for_corpus(corpus) -> OracleProvider:
     return OracleProvider({sample.code: sample.truth for sample in corpus.samples})
 
 
-def mock_provider(mode: str, *, fixed_text: str | None = None, truth_by_code=None):
-    """Build a mock by name: "fixed", "parrot", or "oracle"."""
-    if mode == "fixed":
-        if fixed_text is None:
-            raise ValueError("fixed mock requires fixed_text")
-        return FixedProvider(fixed_text)
-    if mode == "parrot":
-        return ParrotProvider()
-    if mode == "oracle":
-        if truth_by_code is None:
-            raise ValueError("oracle mock requires truth_by_code")
-        return OracleProvider(truth_by_code)
-    raise ValueError(f"unknown mock mode {mode!r}")
-
-
 class RemoteChatProvider(_CountingProvider):
     """Client for a completion endpoint speaking a small JSON contract.
 
@@ -276,64 +262,31 @@ class RemoteChatProvider(_CountingProvider):
         sleep=time.sleep,
     ) -> None:
         super().__init__()
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self.endpoint = endpoint
-        self.api_key_env = api_key_env
-        self.timeout_s = timeout_s
-        self.retries = retries
-        self.retry_base_delay_s = retry_base_delay_s
-        self._session = session
-        self._sleep = sleep
-        self._semaphore = threading.Semaphore(max_in_flight)
-
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.api_key_env)
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
+        self._http = JsonPostClient(
+            endpoint,
+            api_key_env=api_key_env,
+            timeout_s=timeout_s,
+            retries=retries,
+            retry_base_delay_s=retry_base_delay_s,
+            transport_error=ProviderTransportError,
+            error=ProviderError,
+            max_in_flight=max_in_flight,
+            session=session,
+            sleep=sleep,
+        )
 
     def generate(self, request: CompletionRequest) -> str:
         self._bump()
-        payload = {
-            "model": request.model_id,
-            "prompt": request.prompt,
-            "temperature": request.temperature,
-            "max_output_tokens": request.max_output_tokens,
-        }
-        last_error: Exception | None = None
-        for attempt in range(self.retries):
-            if attempt:
-                self._sleep(self.retry_base_delay_s * (2 ** (attempt - 1)))
-            try:
-                with self._semaphore:
-                    response = self._session.post(
-                        self.endpoint,
-                        json=payload,
-                        headers=self._headers(),
-                        timeout=self.timeout_s,
-                    )
-            except Exception as exc:
-                last_error = ProviderTransportError(f"request failed: {exc}")
-                continue
-            if response.status_code == 200:
-                body = response.json()
-                if "refusal" in body:
-                    raise ProviderRefusalError(str(body["refusal"]))
-                if "text" not in body:
-                    raise ProviderError("endpoint response has neither text nor refusal")
-                return str(body["text"])
-            if response.status_code >= 500 or response.status_code == 429:
-                last_error = ProviderTransportError(
-                    f"endpoint returned status {response.status_code}"
-                )
-                continue
-            raise ProviderError(
-                f"endpoint returned status {response.status_code}: {response.text[:200]}"
-            )
-        raise ProviderTransportError(
-            f"giving up after {self.retries} attempts: {last_error}"
+        body = self._http.post(
+            {
+                "model": request.model_id,
+                "prompt": request.prompt,
+                "temperature": request.temperature,
+                "max_output_tokens": request.max_output_tokens,
+            }
         )
+        if "refusal" in body:
+            raise ProviderRefusalError(str(body["refusal"]))
+        if "text" not in body:
+            raise ProviderError("endpoint response has neither text nor refusal")
+        return str(body["text"])

@@ -17,7 +17,6 @@ import re
 from dataclasses import dataclass
 
 from .labels import CweLabel, format_labels
-from .vecindex import VectorIndex, top_k
 
 TEMPLATE_ID = "cwe-fewshot-template/v1"
 
@@ -116,18 +115,6 @@ def shots_from_neighbors(neighbors, samples_by_id, order: ShotOrder) -> tuple:
     if order is ShotOrder.SIMILAR_LAST:
         samples = samples[::-1]
     return tuple(Shot(code=s.code, labels=s.truth) for s in samples)
-
-
-def select_retrieval(
-    index: VectorIndex,
-    query_vec,
-    k: int,
-    samples_by_id,
-    order: ShotOrder = ShotOrder.SIMILAR_FIRST,
-) -> tuple:
-    """Pick the k most similar train samples as shots."""
-    neighbors = top_k(index, query_vec, k)
-    return shots_from_neighbors(neighbors, samples_by_id, order)
 
 
 def render(spec: PromptSpec) -> str:

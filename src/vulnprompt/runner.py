@@ -35,6 +35,7 @@ from .llmclient import (
 from .metrics import LabeledPair, MetricsReport
 from .metrics import report as metrics_report
 from .prompting import (
+    PROMPT_STRATEGIES,
     PromptSpec,
     ShotOrder,
     Strategy,
@@ -44,10 +45,6 @@ from .prompting import (
     shots_from_neighbors,
 )
 from .vecindex import IndexEntry, VectorIndex, build, load_index, top_k
-
-RETRIEVAL_STRATEGIES = frozenset(
-    {Strategy.RETRIEVAL_FEW_SHOT, Strategy.RETRIEVAL_LABELING}
-)
 
 TABLE_COLUMNS = (
     "strategy",
@@ -271,10 +268,6 @@ def _build_provider(config: ExperimentConfig, corpus: Corpus):
     return FixedProvider(settings.fixed_text)
 
 
-def _provider_strategies(config: ExperimentConfig) -> bool:
-    return any(s is not Strategy.RETRIEVAL_LABELING for s in config.strategies)
-
-
 def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunReport:
     """Execute the full sweep and write records.jsonl, report.json, report.csv.
 
@@ -294,7 +287,11 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
             f"largest shot count {max_k} exceeds train split size {len(corpus.train)}"
         )
 
-    needs_retrieval = any(s in RETRIEVAL_STRATEGIES for s in config.strategies)
+    samples_by_id = corpus.by_id()
+    needs_retrieval = (
+        Strategy.RETRIEVAL_FEW_SHOT in config.strategies
+        or Strategy.RETRIEVAL_LABELING in config.strategies
+    )
     backend = embed_backend if embed_backend is not None else _build_backend(config)
 
     index = None
@@ -307,8 +304,7 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
                     f"index dim {index.dimension} does not match embedding dim "
                     f"{backend.dimension}"
                 )
-            known = set(corpus.by_id())
-            missing = [e.sample_id for e in index if e.sample_id not in known]
+            missing = [e.sample_id for e in index if e.sample_id not in samples_by_id]
             if missing:
                 raise RunnerError(
                     f"index contains ids not in the corpus: {missing[:5]}"
@@ -320,14 +316,12 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
         for sample in corpus.test:
             queries[sample.id] = backend.embed(EmbeddingInput(code=sample.code))
 
-    if provider is None and _provider_strategies(config):
+    if provider is None and any(s in PROMPT_STRATEGIES for s in config.strategies):
         provider = _build_provider(config, corpus)
     cache = ResponseCache(config.cache_dir) if config.cache_dir else None
     calls_before = provider.call_count if provider is not None else 0
 
-    samples_by_id = corpus.by_id()
     records: list[PredictionRecord] = []
-    cells: list[CellReport] = []
     output_dir = Path(config.output_dir)
 
     def checkpoint_and_raise(exc: Exception) -> None:
@@ -420,20 +414,8 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
                 except ProviderError as exc:
                     checkpoint_and_raise(exc)
             records.extend(cell_records)
-            pairs = [
-                LabeledPair(truth=samples_by_id[r.test_id].truth, pred=r.pred)
-                for r in cell_records
-            ]
-            failures = sum(1 for r in cell_records if r.error is not None)
-            cells.append(
-                CellReport(
-                    strategy=strategy,
-                    k=k,
-                    metrics=metrics_report(pairs),
-                    failures=failures,
-                )
-            )
 
+    cells = cells_from_records(records, corpus)
     provider_calls = (
         provider.call_count - calls_before if provider is not None else 0
     )
@@ -442,7 +424,7 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
         template_id=config.template_id,
         shot_order=config.shot_order,
         config=config.to_json_dict(),
-        cells=tuple(cells),
+        cells=cells,
         provider_calls=provider_calls,
         metadata={
             "started_at": started_at,
@@ -473,10 +455,11 @@ def load_records(path: str | Path) -> list:
 
 
 def cells_from_records(records, corpus: Corpus) -> tuple:
-    """Recompute per-cell metrics from a prediction log.
+    """Compute per-cell metrics from a prediction log.
 
-    The result must match the cells stored in the run's report; this is the
-    audit path for checking that reports and records agree.
+    run() scores its report with this function, so recomputing from a saved
+    records.jsonl must reproduce the report's cells; this is the audit path
+    for checking that reports and records agree.
     """
     samples_by_id = corpus.by_id()
     grouped: dict = {}

@@ -51,7 +51,6 @@ class VectorIndex:
 
     def __init__(self, entries: tuple) -> None:
         self._entries = entries
-        self._by_id = {entry.sample_id: entry for entry in entries}
         self._matrix = np.array(
             [entry.vector.values for entry in entries], dtype=np.float64
         )
@@ -66,15 +65,6 @@ class VectorIndex:
 
     def __iter__(self):
         return iter(self._entries)
-
-    def entry(self, sample_id: str) -> IndexEntry:
-        try:
-            return self._by_id[sample_id]
-        except KeyError:
-            raise VecIndexError(f"no entry with id {sample_id!r}") from None
-
-    def truth_of(self, sample_id: str) -> frozenset:
-        return self.entry(sample_id).truth
 
     @property
     def matrix(self) -> np.ndarray:
@@ -101,13 +91,6 @@ def build(entries) -> VectorIndex:
                 f"entry {entry.sample_id!r} has dim {entry.vector.dim}, expected {dim}"
             )
     return VectorIndex(entries)
-
-
-def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    """Cosine similarity of two unit vectors (their dot product)."""
-    if a.dim != b.dim:
-        raise VecIndexError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return float(np.dot(np.asarray(a.values), np.asarray(b.values)))
 
 
 def top_k(index: VectorIndex, query: EmbeddingVector, k: int) -> list:

@@ -127,6 +127,15 @@ def test_shot_count_validation():
         ExperimentConfig(**base, shot_counts=())
 
 
+def test_strategies_must_be_unique():
+    with pytest.raises(ConfigError, match="strategies must be unique"):
+        ExperimentConfig(
+            corpus_path="c",
+            output_dir="o",
+            strategies=(Strategy.RETRIEVAL_LABELING, Strategy.RETRIEVAL_LABELING),
+        )
+
+
 def test_embedding_settings_validation():
     with pytest.raises(ConfigError, match="backend"):
         EmbeddingSettings(backend="tfidf")
@@ -141,6 +150,8 @@ def test_provider_settings_validation():
         ProviderSettings(type="local")
     with pytest.raises(ConfigError, match="max_in_flight"):
         ProviderSettings(max_in_flight=0)
+    with pytest.raises(ConfigError, match="retries must be >= 1"):
+        ProviderSettings(retries=0)
 
 
 def test_to_json_dict_serializes_enums():

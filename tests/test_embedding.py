@@ -1,4 +1,4 @@
-"""Embedding backends: determinism, normalization, batching, remote contract."""
+"""Embedding backends: determinism, normalization, remote contract."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vulnprompt.embedding import (
-    EmbeddingBatchError,
     EmbeddingError,
     EmbeddingInput,
     EmbeddingInputTooLarge,
@@ -36,6 +35,8 @@ class StubResponse:
         self.text = text
 
     def json(self):
+        if isinstance(self._body, Exception):
+            raise self._body
         return self._body
 
 
@@ -124,39 +125,6 @@ def test_token_multiset_locality():
     assert a == b
 
 
-def test_embed_batch_matches_single_calls():
-    backend = HashedBagOfTokensBackend(dimension=64)
-    items = [EmbeddingInput(code=f"int f{i}();") for i in range(5)]
-    assert backend.embed_batch(items) == [backend.embed(i) for i in items]
-
-
-def test_embed_batch_empty():
-    backend = HashedBagOfTokensBackend(dimension=64)
-    assert backend.embed_batch([]) == []
-
-
-def test_remote_batch_error_names_failing_index():
-    backend = RemoteEmbeddingBackend(
-        endpoint="https://embed.test/v1",
-        model="embed-small",
-        dimension=4,
-        max_input_chars=10,
-        session=StubSession([]),
-        sleep=lambda s: None,
-    )
-    ok = StubResponse(200, {"embedding": unit([1.0, 2.0, 3.0, 4.0])})
-    backend._session.responses = [ok]
-    items = [
-        EmbeddingInput(code="short"),
-        EmbeddingInput(code="x" * 50),
-    ]
-    with pytest.raises(EmbeddingBatchError, match="item 1") as excinfo:
-        backend.embed_batch(items)
-    (index, error), = excinfo.value.failures
-    assert index == 1
-    assert isinstance(error, EmbeddingInputTooLarge)
-
-
 def test_remote_success_normalizes():
     session = StubSession([StubResponse(200, {"embedding": [3.0, 4.0, 0.0, 0.0]})])
     backend = RemoteEmbeddingBackend(
@@ -217,6 +185,30 @@ def test_remote_transport_failure_exhausts_retries():
     with pytest.raises(EmbeddingTransportError, match="3 attempts"):
         backend.embed(EmbeddingInput(code="int x;"))
     assert len(session.requests) == 3
+
+
+@pytest.mark.parametrize(
+    ("body", "message"),
+    [
+        (ValueError("Expecting value: line 1 column 1 (char 0)"), "non-JSON body"),
+        (None, "not a JSON object"),
+        ([0.6, 0.8, 0.0, 0.0], "not a JSON object"),
+    ],
+    ids=["non_json", "null", "list"],
+)
+def test_remote_malformed_body_is_typed_and_not_retried(body, message):
+    session = StubSession([StubResponse(200, body)])
+    backend = RemoteEmbeddingBackend(
+        endpoint="https://embed.test/v1",
+        model="embed-small",
+        dimension=4,
+        session=session,
+        sleep=lambda s: None,
+    )
+    with pytest.raises(EmbeddingError, match=message) as excinfo:
+        backend.embed(EmbeddingInput(code="int x;"))
+    assert not isinstance(excinfo.value, EmbeddingTransportError)
+    assert len(session.requests) == 1
 
 
 def test_remote_oversize_precheck_makes_no_call():

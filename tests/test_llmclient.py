@@ -19,7 +19,6 @@ from vulnprompt.llmclient import (
     RemoteChatProvider,
     ResponseCache,
     complete,
-    mock_provider,
 )
 from vulnprompt.prompting import PromptSpec, Shot, Strategy, render
 
@@ -31,6 +30,8 @@ class StubResponse:
         self.text = text
 
     def json(self):
+        if isinstance(self._body, Exception):
+            raise self._body
         return self._body
 
 
@@ -131,14 +132,14 @@ def test_cache_stats_and_clear(tmp_path):
 
 
 def test_fixed_provider():
-    provider = mock_provider("fixed", fixed_text="none")
+    provider = FixedProvider("none")
     assert provider.generate(request()) == "none"
     assert provider.generate(request(prompt="other")) == "none"
     assert provider.call_count == 2
 
 
 def test_parrot_provider_returns_first_shot_labels():
-    provider = mock_provider("parrot")
+    provider = ParrotProvider()
     spec = PromptSpec(
         strategy=Strategy.RANDOM_FEW_SHOT,
         k=2,
@@ -170,15 +171,6 @@ def test_oracle_provider_unknown_snippet():
     spec = PromptSpec(strategy=Strategy.ZERO_SHOT, k=0, shots=(), test_code="int x();")
     with pytest.raises(MockProviderError, match="no truth"):
         provider.generate(request(prompt=render(spec)))
-
-
-def test_mock_provider_factory_validation():
-    with pytest.raises(ValueError, match="fixed_text"):
-        mock_provider("fixed")
-    with pytest.raises(ValueError, match="truth_by_code"):
-        mock_provider("oracle")
-    with pytest.raises(ValueError, match="unknown mock mode"):
-        mock_provider("chaos")
 
 
 def test_mock_call_counts_are_thread_safe():
@@ -245,6 +237,31 @@ def test_remote_provider_non_retryable_status():
     with pytest.raises(ProviderError, match="status 401"):
         provider.generate(request())
     assert len(session.requests) == 1
+
+
+@pytest.mark.parametrize(
+    ("body", "message"),
+    [
+        (ValueError("Expecting value: line 1 column 1 (char 0)"), "non-JSON body"),
+        (None, "not a JSON object"),
+        (["CWE-119"], "not a JSON object"),
+    ],
+    ids=["non_json", "null", "list"],
+)
+def test_remote_provider_malformed_body_is_typed_and_not_retried(body, message):
+    session = StubSession([StubResponse(200, body)])
+    provider = RemoteChatProvider(
+        endpoint="https://llm.test/v1", session=session, sleep=lambda s: None
+    )
+    with pytest.raises(ProviderError, match=message) as excinfo:
+        provider.generate(request())
+    assert not isinstance(excinfo.value, ProviderTransportError)
+    assert len(session.requests) == 1
+
+
+def test_remote_provider_rejects_zero_retries():
+    with pytest.raises(ValueError, match="retries must be >= 1"):
+        RemoteChatProvider(endpoint="https://llm.test/v1", retries=0, session=StubSession([]))
 
 
 def test_refusals_are_provider_errors():

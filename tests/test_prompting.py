@@ -20,9 +20,10 @@ from vulnprompt.prompting import (
     prompt_hash,
     render,
     select_random,
-    select_retrieval,
     shot_label_lines,
+    shots_from_neighbors,
 )
+from vulnprompt.vecindex import top_k
 
 
 def make_pool(n):
@@ -105,21 +106,20 @@ def test_select_random_per_test_independence():
     assert len(set(draws.values())) > 1
 
 
-def test_select_retrieval_maps_neighbors(hashed_backend, synthetic_corpus, synthetic_index):
+def test_shots_from_neighbors_follow_top_k_order(
+    hashed_backend, synthetic_corpus, synthetic_index
+):
     samples_by_id = synthetic_corpus.by_id()
     sample = synthetic_corpus.test[0]
     query = hashed_backend.embed(EmbeddingInput(code=sample.code))
-    shots = select_retrieval(synthetic_index, query, 3, samples_by_id)
-    assert len(shots) == 3
-    from vulnprompt.vecindex import top_k
-
     neighbors = top_k(synthetic_index, query, 3)
-    assert [s.code for s in shots] == [
-        samples_by_id[n.sample_id].code for n in neighbors
+    shots = shots_from_neighbors(neighbors, samples_by_id, ShotOrder.SIMILAR_FIRST)
+    assert len(shots) == 3
+    assert [(s.code, s.labels) for s in shots] == [
+        (samples_by_id[n.sample_id].code, samples_by_id[n.sample_id].truth)
+        for n in neighbors
     ]
-    reversed_shots = select_retrieval(
-        synthetic_index, query, 3, samples_by_id, order=ShotOrder.SIMILAR_LAST
-    )
+    reversed_shots = shots_from_neighbors(neighbors, samples_by_id, ShotOrder.SIMILAR_LAST)
     assert list(reversed_shots) == list(shots[::-1])
 
 

@@ -12,6 +12,7 @@ from vulnprompt.labels import label_set
 from vulnprompt.llmclient import (
     FixedProvider,
     ParrotProvider,
+    RemoteChatProvider,
     oracle_for_corpus,
 )
 from vulnprompt.metrics import MetricsReport
@@ -133,6 +134,46 @@ def test_provider_failures_score_empty_and_count(small_corpus_path, tmp_path):
     records = load_records(tmp_path / "out" / "records.jsonl")
     assert all(r.error is not None and r.pred == frozenset() for r in records)
     assert all(r.raw_text is None for r in records)
+
+
+class NonJsonSession:
+    """Answers every POST with a 200 whose body does not decode as JSON."""
+
+    class Response:
+        status_code = 200
+        text = "<html>gateway</html>"
+
+        def json(self):
+            raise ValueError("Expecting value: line 1 column 1 (char 0)")
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        return self.Response()
+
+
+def test_non_json_reply_lands_in_failures(small_corpus_path, small_corpus, tmp_path):
+    def provider():
+        return RemoteChatProvider(
+            endpoint="https://llm.test/v1", session=NonJsonSession(), sleep=lambda s: None
+        )
+
+    config = make_config(
+        small_corpus_path,
+        tmp_path / "out",
+        strategies=(Strategy.ZERO_SHOT, Strategy.RETRIEVAL_FEW_SHOT),
+        shot_counts=(1, 2),
+    )
+    report = run(config, provider=provider())
+    assert len(report.cells) == 3
+    assert all(cell.failures == len(small_corpus.test) for cell in report.cells)
+    records = load_records(tmp_path / "out" / "records.jsonl")
+    assert all("non-JSON body" in r.error for r in records)
+
+    strict = make_config(
+        small_corpus_path, tmp_path / "strict", shot_counts=(1,), strict=True
+    )
+    with pytest.raises(StrictRunError) as excinfo:
+        run(strict, provider=provider())
+    assert excinfo.value.partial_records_path is not None
 
 
 def test_strict_mode_aborts_with_checkpoint(small_corpus_path, tmp_path):

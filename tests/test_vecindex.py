@@ -16,7 +16,6 @@ from vulnprompt.vecindex import (
     IndexEntry,
     VecIndexError,
     build,
-    cosine,
     load_index,
     save_index,
     top_k,
@@ -136,14 +135,6 @@ def test_matches_brute_force_oracle_small():
         assert [h.sample_id for h in actual] == [i for i, _ in expected]
         for hit, (_, sim) in zip(actual, expected):
             assert hit.similarity == pytest.approx(sim, abs=1e-12)
-
-
-def test_cosine_symmetry_and_dim_check():
-    a = unit_vector((0.3, -0.4, 0.6))
-    b = unit_vector((0.9, 0.1, -0.2))
-    assert abs(cosine(a, b) - cosine(b, a)) <= 1e-12
-    with pytest.raises(VecIndexError):
-        cosine(a, unit_vector((1.0, 0.0)))
 
 
 def test_save_load_round_trip(tmp_path):
