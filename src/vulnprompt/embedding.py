@@ -9,6 +9,7 @@ minimal JSON contract is provided for real embedding services.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import re
@@ -23,6 +24,9 @@ NORM_TOLERANCE = 1e-9
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|[^\sA-Za-z0-9_]+")
 _HASH_KEY = b"vulnprompt-embed-v1"
+# Distinct tokens whose coordinates one hashed backend remembers; a code
+# vocabulary is far smaller, so the bound only caps memory on odd inputs.
+_COORDINATE_MEMO_SIZE = 1 << 16
 
 
 class EmbeddingError(Exception):
@@ -106,21 +110,26 @@ class HashedBagOfTokensBackend:
 
     Equal token multisets map to bitwise-identical vectors: the per-token
     contributions are exact integers accumulated in float64, so summation
-    order cannot change the result.
+    order cannot change the result. A token's (index, sign) depends only on
+    the token and the dimension, so each backend memoises it.
     """
 
     def __init__(self, dimension: int = 256) -> None:
         if dimension < 1:
             raise EmbeddingError(f"dimension must be >= 1, got {dimension}")
         self.dimension = dimension
+        self._coordinate = functools.lru_cache(maxsize=_COORDINATE_MEMO_SIZE)(
+            functools.partial(token_coordinate, dimension=dimension)
+        )
 
     def embed(self, item: EmbeddingInput) -> EmbeddingVector:
         tokens = tokenize(item.rendered_text())
         if not tokens:
             raise EmbeddingError("input produced no tokens")
         accum = [0.0] * self.dimension
+        coordinate = self._coordinate
         for token in tokens:
-            index, sign = token_coordinate(token, self.dimension)
+            index, sign = coordinate(token)
             accum[index] += sign
         norm = math.sqrt(sum(v * v for v in accum))
         if norm == 0.0:

@@ -66,11 +66,14 @@ def retrieval_label(neighbors, corpus) -> frozenset:
     This bypasses model inference entirely: the k nearest train samples vote
     by contributing every label they carry. Predictions are monotone in k,
     so recall can only grow as more neighbors are added.
+
+    corpus is a Corpus or a mapping from sample id to sample. A mapping is
+    used as given, so a caller labeling many queries builds it once.
     """
     neighbors = list(neighbors)
     if not neighbors:
         raise LabelingError("retrieval labeling needs at least one neighbor")
-    samples_by_id = corpus.by_id() if hasattr(corpus, "by_id") else dict(corpus)
+    samples_by_id = corpus.by_id() if hasattr(corpus, "by_id") else corpus
     labels: set[CweLabel] = set()
     for neighbor in neighbors:
         try:

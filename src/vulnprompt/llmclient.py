@@ -97,22 +97,28 @@ class ResponseCache:
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        if not self.root.is_dir():
-            raise CacheError(f"cache root {self.root} is not a directory")
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise CacheError(f"cache root {self.root} is not a directory: {exc}") from None
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
     def get(self, request: CompletionRequest) -> str | None:
+        """The cached response, or None on a miss.
+
+        A missing, truncated or undecodable file, or one without a string
+        "response", is a miss, so the next put rewrites it.
+        """
         path = self._path(request.cache_key())
-        if not path.exists():
-            return None
         try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-            return record["response"]
-        except (json.JSONDecodeError, KeyError, OSError) as exc:
+            response = json.loads(path.read_text(encoding="utf-8"))["response"]
+        except (FileNotFoundError, ValueError, KeyError, TypeError):
+            return None
+        except OSError as exc:
             raise CacheError(f"unreadable cache file {path}: {exc}") from None
+        return response if isinstance(response, str) else None
 
     def put(self, request: CompletionRequest, response: str) -> None:
         record = {

@@ -294,8 +294,10 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
     )
     backend = embed_backend if embed_backend is not None else _build_backend(config)
 
-    index = None
-    queries: dict = {}
+    # Each test query is ranked once, at the largest shot count; every
+    # retrieval cell takes a prefix of that ranking, which top_k guarantees
+    # equals a direct top_k call at the smaller k.
+    rankings: dict = {}
     if needs_retrieval:
         if config.index_path:
             index = load_index(config.index_path)
@@ -314,7 +316,8 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
                 corpus, backend, include_labels=config.include_labels_in_index
             )
         for sample in corpus.test:
-            queries[sample.id] = backend.embed(EmbeddingInput(code=sample.code))
+            query = backend.embed(EmbeddingInput(code=sample.code))
+            rankings[sample.id] = top_k(index, query, max_k)
 
     if provider is None and any(s in PROMPT_STRATEGIES for s in config.strategies):
         provider = _build_provider(config, corpus)
@@ -339,7 +342,7 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
         elif strategy is Strategy.RANDOM_FEW_SHOT:
             shots = select_random(corpus.train, k, config.seed, sample.id)
         else:
-            neighbors = top_k(index, queries[sample.id], k)
+            neighbors = rankings[sample.id][:k]
             neighbor_ids = tuple(n.sample_id for n in neighbors)
             similarities = tuple(n.similarity for n in neighbors)
             shots = shots_from_neighbors(neighbors, samples_by_id, config.shot_order)
@@ -383,8 +386,8 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
         )
 
     def evaluate_retrieval_labeling(sample, k: int) -> PredictionRecord:
-        neighbors = top_k(index, queries[sample.id], k)
-        pred = retrieval_label(neighbors, corpus)
+        neighbors = rankings[sample.id][:k]
+        pred = retrieval_label(neighbors, samples_by_id)
         return PredictionRecord(
             test_id=sample.id,
             strategy=Strategy.RETRIEVAL_LABELING,

@@ -170,6 +170,14 @@ def test_cache_stats_and_clear(workdir, capsys):
     assert json.loads(capsys.readouterr().out)["entries"] == 0
 
 
+def test_cache_root_that_is_a_file_exits_3(workdir, capsys):
+    cache_root = workdir / "cache"
+    cache_root.write_text("not a directory", encoding="utf-8")
+    config_path = write_config(workdir, cache_dir=str(cache_root))
+    assert main(["run", "--config", str(config_path)]) == EXIT_DATA
+    assert "not a directory" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_1(capsys):
     assert main(["no-such-command"]) == EXIT_USAGE
     assert main(["ingest"]) == EXIT_USAGE

@@ -249,3 +249,39 @@ def test_embed_always_unit_norm(code):
         return
     norm = math.sqrt(sum(v * v for v in vec.values))
     assert abs(norm - 1.0) <= 1e-9
+
+
+def unmemoised_embedding(text, dimension):
+    """The hashed embedding computed token by token with no memo."""
+    accum = [0.0] * dimension
+    for token in tokenize(text):
+        index, sign = token_coordinate(token, dimension)
+        accum[index] += sign
+    norm = math.sqrt(sum(v * v for v in accum))
+    return tuple(v / norm for v in accum)
+
+
+@given(st.lists(st.text(min_size=1).filter(lambda s: s.strip()), min_size=1, max_size=5))
+def test_memoised_coordinates_match_unmemoised_bit_for_bit(codes):
+    backend = HashedBagOfTokensBackend(dimension=32)
+    for code in codes + codes:
+        item = EmbeddingInput(code=code)
+        try:
+            vec = backend.embed(item)
+        except EmbeddingError:
+            continue
+        assert vec.values == unmemoised_embedding(item.rendered_text(), 32)
+
+
+def test_memo_never_leaks_across_dimensions():
+    items = [
+        EmbeddingInput(code="int main(void) { char buf[8]; strcpy(buf, argv[1]); }"),
+        EmbeddingInput(code="free(p); free(p);", labels=label_set(["CWE-476"])),
+    ]
+    small = HashedBagOfTokensBackend(dimension=16)
+    large = HashedBagOfTokensBackend(dimension=512)
+    for _ in range(2):
+        for backend in (small, large):
+            fresh = HashedBagOfTokensBackend(dimension=backend.dimension)
+            for item in items:
+                assert backend.embed(item) == fresh.embed(item)

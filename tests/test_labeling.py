@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import types
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -121,6 +123,20 @@ def test_retrieval_label_requires_neighbors():
 def test_retrieval_label_unresolvable_id():
     with pytest.raises(LabelingError, match="ghost"):
         retrieval_label([Neighbor(sample_id="ghost", similarity=0.5)], two_sample_corpus())
+
+
+def test_retrieval_label_accepts_corpus_or_mapping():
+    corpus = two_sample_corpus()
+    by_id = corpus.by_id()
+    neighbors = [
+        Neighbor(sample_id="n3", similarity=0.9),
+        Neighbor(sample_id="n2", similarity=0.8),
+    ]
+    expected = label_set(["CWE-119", "CWE-120", "CWE-476"])
+    for samples in (corpus, by_id, types.MappingProxyType(by_id)):
+        assert retrieval_label(neighbors, samples) == expected
+        with pytest.raises(LabelingError, match="ghost"):
+            retrieval_label([Neighbor(sample_id="ghost", similarity=0.5)], samples)
 
 
 def test_retrieval_label_monotone_in_k(

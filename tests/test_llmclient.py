@@ -111,6 +111,25 @@ def test_cache_round_trip_byte_fidelity(tmp_path):
     assert cache.get(req) == text
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b'{"request": {}, "respo', b"\xff\xfe not utf-8", b'{"request": {}}', b"[1, 2]", b'{"response": 5}'],
+    ids=["truncated", "undecodable", "no-response", "not-an-object", "not-a-string"],
+)
+def test_unreadable_cache_file_is_a_miss_and_rewritten(tmp_path, content):
+    cache = ResponseCache(tmp_path / "cache")
+    req = request()
+    complete(req, FixedProvider("CWE-119"), cache)
+    path = cache.root / f"{req.cache_key()}.json"
+    path.write_bytes(content)
+    assert cache.get(req) is None
+
+    provider = FixedProvider("CWE-476")
+    result = complete(req, provider, cache)
+    assert (result.text, result.cached, provider.call_count) == ("CWE-476", False, 1)
+    assert cache.get(req) == "CWE-476"
+
+
 def test_complete_without_cache_calls_provider_each_time():
     provider = FixedProvider("none")
     req = request()

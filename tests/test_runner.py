@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
+from vulnprompt import runner
 from vulnprompt.config import ExperimentConfig, ProviderSettings
 from vulnprompt.corpus import dump_jsonl, ingest
+from vulnprompt.embedding import EmbeddingInput
 from vulnprompt.labels import label_set
 from vulnprompt.llmclient import (
     FixedProvider,
@@ -31,7 +34,7 @@ from vulnprompt.runner import (
     run,
 )
 from vulnprompt.synthetic import make_synthetic_corpus
-from vulnprompt.vecindex import save_index
+from vulnprompt.vecindex import save_index, top_k
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +236,37 @@ def test_retrieval_records_carry_k_neighbors(small_corpus_path, small_corpus, tm
     assert report.provider_calls > 0
 
 
+def test_each_query_is_ranked_once_at_the_largest_k(
+    small_corpus_path, small_corpus, tmp_path, hashed_backend, monkeypatch
+):
+    ks = []
+
+    def counting_top_k(index, query, k):
+        ks.append(k)
+        return top_k(index, query, k)
+
+    monkeypatch.setattr(runner, "top_k", counting_top_k)
+    shot_counts = (1, 2, 3, len(small_corpus.train) + 5)
+    config = make_config(
+        small_corpus_path,
+        tmp_path / "out",
+        strategies=(Strategy.RETRIEVAL_FEW_SHOT, Strategy.RETRIEVAL_LABELING),
+        shot_counts=shot_counts,
+    )
+    run(config, provider=ParrotProvider(), embed_backend=hashed_backend)
+    assert ks == [max(shot_counts)] * len(small_corpus.test)
+
+    index = build_index_from_corpus(small_corpus, hashed_backend, include_labels=True)
+    samples_by_id = small_corpus.by_id()
+    records = load_records(tmp_path / "out" / "records.jsonl")
+    assert len(records) == 2 * len(shot_counts) * len(small_corpus.test)
+    for record in records:
+        query = hashed_backend.embed(EmbeddingInput(code=samples_by_id[record.test_id].code))
+        direct = top_k(index, query, record.k)
+        assert record.neighbor_ids == tuple(n.sample_id for n in direct)
+        assert record.similarities == tuple(n.similarity for n in direct)
+
+
 def test_random_strategy_records_have_no_neighbors(small_corpus_path, small_corpus, tmp_path):
     config = make_config(
         small_corpus_path,
@@ -318,6 +352,38 @@ def test_cache_makes_second_run_cached(small_corpus_path, small_corpus, tmp_path
     assert report.provider_calls == 0
     records = load_records(tmp_path / "out" / "records.jsonl")
     assert all(r.cached is True for r in records)
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+def test_truncated_cache_file_is_refetched(small_corpus_path, tmp_path, strict):
+    cache_dir = tmp_path / "cache"
+    config = make_config(
+        small_corpus_path,
+        tmp_path / "out",
+        shot_counts=(1,),
+        cache_dir=str(cache_dir),
+        strict=strict,
+    )
+    run(config, provider=ParrotProvider())
+    clean = load_records(tmp_path / "out" / "records.jsonl")
+
+    victim = sorted(cache_dir.glob("*.json"))[0]
+    intact = victim.read_text(encoding="utf-8")
+    victim.write_text(intact[: len(intact) // 2], encoding="utf-8")
+
+    provider = ParrotProvider()
+    report = run(config, provider=provider)
+    assert provider.call_count == report.provider_calls == 1
+    assert json.loads(victim.read_text(encoding="utf-8"))["response"] == (
+        json.loads(intact)["response"]
+    )
+    rerun = load_records(tmp_path / "out" / "records.jsonl")
+    assert [r.cached for r in rerun].count(False) == 1
+
+    def without_cached(records):
+        return [dataclasses.replace(r, cached=None) for r in records]
+
+    assert without_cached(rerun) == without_cached(clean)
 
 
 def test_prediction_record_json_round_trip():
