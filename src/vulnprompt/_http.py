@@ -11,6 +11,7 @@ from the package, so either client module can import it without a cycle.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import threading
 import time
@@ -21,7 +22,8 @@ class JsonPostClient:
 
     A transport failure or a 5xx/429 status is retried up to `retries`
     attempts in total, sleeping `retry_base_delay_s * 2**(attempt - 1)`
-    before each retry; exhausting them raises `transport_error`. Any other
+    before each retry, or longer when a 429 carries a numeric `Retry-After`
+    (seconds); exhausting them raises `transport_error`. Any other
     non-200 status, and a 200 whose body is not a JSON object, raises
     `error` at once. With `max_in_flight` set, at most that many POSTs are
     outstanding at a time; the backoff sleep happens outside that limit.
@@ -73,9 +75,12 @@ class JsonPostClient:
 
     def post(self, payload: dict) -> dict:
         last_error: Exception | None = None
+        retry_after = 0.0
         for attempt in range(self.retries):
             if attempt:
-                self._sleep(self.retry_base_delay_s * (2 ** (attempt - 1)))
+                backoff = self.retry_base_delay_s * (2 ** (attempt - 1))
+                self._sleep(max(backoff, retry_after))
+                retry_after = 0.0
             try:
                 with self._gate:
                     response = self._session.post(
@@ -92,6 +97,8 @@ class JsonPostClient:
                 return self._decode(response)
             if status >= 500 or status == 429:
                 last_error = self._transport_error(f"endpoint returned status {status}")
+                if status == 429:
+                    retry_after = _retry_after_s(response)
                 continue
             raise self._error(f"endpoint returned status {status}: {response.text[:200]}")
         raise self._transport_error(
@@ -106,3 +113,13 @@ class JsonPostClient:
         if not isinstance(body, dict):
             raise self._error("endpoint response is not a JSON object")
         return body
+
+
+def _retry_after_s(response) -> float:
+    """A 429's Retry-After in seconds; 0 when absent, a date or not a finite number."""
+    headers = getattr(response, "headers", None)
+    try:
+        seconds = float(headers.get("Retry-After"))
+    except (AttributeError, TypeError, ValueError):
+        return 0.0
+    return seconds if math.isfinite(seconds) else 0.0

@@ -14,6 +14,8 @@ import os
 import tempfile
 import threading
 import time
+from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -155,28 +157,52 @@ class ResponseCache:
 
 
 def complete(
-    request: CompletionRequest,
+    requests: Sequence[CompletionRequest],
     provider: Provider,
     cache: ResponseCache | None = None,
-) -> CompletionResult:
-    """Serve a completion from cache when possible, else call the provider.
+    max_in_flight: int = 1,
+) -> list:
+    """Resolve a batch of requests; results come back in input order.
 
-    Refusals propagate immediately and are never retried or cached; retry
-    policy for transport errors lives inside remote providers.
+    Cache hits are read on the calling thread. Only the misses go to the
+    provider, on a pool of min(max_in_flight, misses) threads, and no pool is
+    built when every request hits. Requests are not de-duplicated: identical
+    requests in one batch all miss together. Each result is a
+    CompletionResult, or the ProviderError that request raised; refusals are
+    never retried or cached, and retry policy for transport errors lives
+    inside remote providers. Any other exception propagates.
     """
-    start = time.perf_counter()
-    if cache is not None:
-        hit = cache.get(request)
-        if hit is not None:
-            return CompletionResult(
+    results: list = [None] * len(requests)
+    misses: list = []
+    for i, request in enumerate(requests):
+        start = time.perf_counter()
+        hit = cache.get(request) if cache is not None else None
+        if hit is None:
+            misses.append(i)
+        else:
+            results[i] = CompletionResult(
                 text=hit, cached=True, latency_ms=(time.perf_counter() - start) * 1000
             )
-    text = provider.generate(request)
-    if cache is not None:
-        cache.put(request, text)
-    return CompletionResult(
-        text=text, cached=False, latency_ms=(time.perf_counter() - start) * 1000
-    )
+    if not misses:
+        return results
+
+    def fetch(request: CompletionRequest):
+        start = time.perf_counter()
+        try:
+            text = provider.generate(request)
+        except ProviderError as exc:
+            return exc
+        if cache is not None:
+            cache.put(request, text)
+        return CompletionResult(
+            text=text, cached=False, latency_ms=(time.perf_counter() - start) * 1000
+        )
+
+    with ThreadPoolExecutor(max_workers=min(max_in_flight, len(misses))) as pool:
+        fetched = pool.map(fetch, [requests[i] for i in misses])
+        for i, result in zip(misses, fetched):
+            results[i] = result
+    return results
 
 
 class _CountingProvider:

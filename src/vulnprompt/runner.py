@@ -3,16 +3,23 @@
 A run evaluates each configured strategy at each shot count against every
 test sample, records one PredictionRecord per evaluation, aggregates metrics
 per (strategy, k) cell, and writes three artifacts atomically: a JSONL
-prediction log, a JSON report, and a CSV table. Given a mock provider, a
-fixed seed, and a warm cache, reruns are byte-identical; timestamps live in
-a separate metadata block so they never perturb the payload.
+prediction log, a JSON report, and a CSV table.
+
+A prompted cell selects shots and renders one CompletionRequest per test
+sample on the calling thread, resolves them all with one llmclient.complete
+call (cache hits inline, only misses on a worker pool of at most
+provider.max_in_flight threads), then parses the replies into records in
+test-split order.
+
+Given a mock provider, a fixed seed, and a warm cache, reruns are
+byte-identical; timestamps live in a separate metadata block so they never
+perturb the payload.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -334,7 +341,7 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
             f"provider failure under strict mode: {exc}", str(partial)
         ) from exc
 
-    def evaluate_prompted(sample, strategy: Strategy, k: int) -> PredictionRecord:
+    def prompt_for(sample, strategy: Strategy, k: int) -> tuple:
         neighbor_ids = None
         similarities = None
         if strategy is Strategy.ZERO_SHOT:
@@ -349,40 +356,51 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
         spec = PromptSpec(
             strategy=strategy, k=len(shots), shots=shots, test_code=sample.code
         )
-        prompt = render(spec)
-        request = CompletionRequest(
-            model_id=config.provider.model_id,
-            prompt=prompt,
-            temperature=config.provider.temperature,
-            max_output_tokens=config.provider.max_output_tokens,
-        )
-        try:
-            result = complete(request, provider, cache)
-        except ProviderError as exc:
-            if config.strict:
-                raise
-            return PredictionRecord(
-                test_id=sample.id,
-                strategy=strategy,
-                k=k,
-                pred=frozenset(),
-                neighbor_ids=neighbor_ids,
-                similarities=similarities,
-                prompt_hash=prompt_hash(prompt),
-                error=str(exc),
+        return neighbor_ids, similarities, render(spec)
+
+    def evaluate_prompted_cell(strategy: Strategy, k: int) -> list:
+        prompts = [prompt_for(sample, strategy, k) for sample in corpus.test]
+        requests = [
+            CompletionRequest(
+                model_id=config.provider.model_id,
+                prompt=prompt,
+                temperature=config.provider.temperature,
+                max_output_tokens=config.provider.max_output_tokens,
             )
-        outcome = parse_labels(result.text)
-        return PredictionRecord(
+            for _, _, prompt in prompts
+        ]
+        results = complete(
+            requests, provider, cache, max_in_flight=config.provider.max_in_flight
+        )
+        if config.strict:
+            for result in results:
+                if isinstance(result, ProviderError):
+                    checkpoint_and_raise(result)
+        return [
+            prompted_record(sample, strategy, k, *prompted, result)
+            for sample, prompted, result in zip(corpus.test, prompts, results)
+        ]
+
+    def prompted_record(
+        sample, strategy, k, neighbor_ids, similarities, prompt, result
+    ) -> PredictionRecord:
+        common = dict(
             test_id=sample.id,
             strategy=strategy,
             k=k,
-            pred=outcome.labels,
             neighbor_ids=neighbor_ids,
             similarities=similarities,
             prompt_hash=prompt_hash(prompt),
+        )
+        if isinstance(result, ProviderError):
+            return PredictionRecord(pred=frozenset(), error=str(result), **common)
+        outcome = parse_labels(result.text)
+        return PredictionRecord(
+            pred=outcome.labels,
             raw_text=result.text,
             parsed=outcome,
             cached=result.cached,
+            **common,
         )
 
     def evaluate_retrieval_labeling(sample, k: int) -> PredictionRecord:
@@ -405,17 +423,7 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
                     evaluate_retrieval_labeling(sample, k) for sample in corpus.test
                 ]
             else:
-                workers = max(1, config.provider.max_in_flight)
-                try:
-                    with ThreadPoolExecutor(max_workers=workers) as pool:
-                        cell_records = list(
-                            pool.map(
-                                lambda s: evaluate_prompted(s, strategy, k),
-                                corpus.test,
-                            )
-                        )
-                except ProviderError as exc:
-                    checkpoint_and_raise(exc)
+                cell_records = evaluate_prompted_cell(strategy, k)
             records.extend(cell_records)
 
     cells = cells_from_records(records, corpus)

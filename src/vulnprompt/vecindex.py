@@ -106,8 +106,15 @@ def top_k(index: VectorIndex, query: EmbeddingVector, k: int) -> list:
             f"query dim {query.dim} does not match index dim {index.dimension}"
         )
     sims = index.matrix @ np.asarray(query.values, dtype=np.float64)
-    order = np.lexsort((index.ids, -sims))
+    neg = -sims
     take = min(k, len(index))
+    # Only rows at least as similar as the take-th best can be returned, so
+    # sort just those, keeping every row tied with it for the id tie-break.
+    # `~(neg > kth)` rather than `neg <= kth` keeps NaN rows, which a full
+    # sort places last, as candidates.
+    kth = np.partition(neg, take - 1)[take - 1]
+    rows = np.flatnonzero(~(neg > kth))
+    order = rows[np.lexsort((index.ids[rows], neg[rows]))]
     return [
         Neighbor(sample_id=str(index.ids[i]), similarity=float(sims[i]))
         for i in order[:take]

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from vulnprompt import llmclient
 from vulnprompt.labels import label_set
 from vulnprompt.llmclient import (
     CompletionRequest,
@@ -18,16 +19,21 @@ from vulnprompt.llmclient import (
     ProviderTransportError,
     RemoteChatProvider,
     ResponseCache,
+    _CountingProvider,
     complete,
 )
 from vulnprompt.prompting import PromptSpec, Shot, Strategy, render
 
 
 class StubResponse:
-    def __init__(self, status_code, body=None, text=""):
+    def __init__(self, status_code, body=None, text="", headers=None):
         self.status_code = status_code
         self._body = body
         self.text = text
+        # Without headers the stub has no `headers` attribute at all, like the
+        # minimal responses some injected sessions return.
+        if headers is not None:
+            self.headers = headers
 
     def json(self):
         if isinstance(self._body, Exception):
@@ -94,8 +100,8 @@ def test_complete_uses_cache_on_second_call(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     provider = FixedProvider("CWE-119")
     req = request()
-    first = complete(req, provider, cache)
-    second = complete(req, provider, cache)
+    (first,) = complete([req], provider, cache)
+    (second,) = complete([req], provider, cache)
     assert first.text == second.text == "CWE-119"
     assert first.cached is False
     assert second.cached is True
@@ -107,7 +113,7 @@ def test_cache_round_trip_byte_fidelity(tmp_path):
     text = "CWE-119\n  weird \t spacing é"
     provider = FixedProvider(text)
     req = request()
-    complete(req, provider, cache)
+    complete([req], provider, cache)
     assert cache.get(req) == text
 
 
@@ -119,13 +125,13 @@ def test_cache_round_trip_byte_fidelity(tmp_path):
 def test_unreadable_cache_file_is_a_miss_and_rewritten(tmp_path, content):
     cache = ResponseCache(tmp_path / "cache")
     req = request()
-    complete(req, FixedProvider("CWE-119"), cache)
+    complete([req], FixedProvider("CWE-119"), cache)
     path = cache.root / f"{req.cache_key()}.json"
     path.write_bytes(content)
     assert cache.get(req) is None
 
     provider = FixedProvider("CWE-476")
-    result = complete(req, provider, cache)
+    (result,) = complete([req], provider, cache)
     assert (result.text, result.cached, provider.call_count) == ("CWE-476", False, 1)
     assert cache.get(req) == "CWE-476"
 
@@ -133,21 +139,82 @@ def test_unreadable_cache_file_is_a_miss_and_rewritten(tmp_path, content):
 def test_complete_without_cache_calls_provider_each_time():
     provider = FixedProvider("none")
     req = request()
-    complete(req, provider, None)
-    complete(req, provider, None)
+    complete([req], provider, None)
+    complete([req], provider, None)
     assert provider.call_count == 2
 
 
 def test_cache_stats_and_clear(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     provider = FixedProvider("x")
-    complete(request(prompt="a"), provider, cache)
-    complete(request(prompt="b"), provider, cache)
+    complete([request(prompt="a"), request(prompt="b")], provider, cache)
     stats = cache.stats()
     assert stats["entries"] == 2
     assert stats["bytes"] > 0
     assert cache.clear() == 2
     assert cache.stats()["entries"] == 0
+
+
+class ScriptedProvider(_CountingProvider):
+    """Answers each prompt from a table; a "refuse" entry raises a refusal."""
+
+    def __init__(self, answers: dict) -> None:
+        super().__init__()
+        self.answers = answers
+
+    def generate(self, req: CompletionRequest) -> str:
+        self._bump()
+        answer = self.answers[req.prompt]
+        if answer == "refuse":
+            raise ProviderRefusalError(f"declined {req.prompt}")
+        return answer
+
+
+def test_mixed_batch_keeps_input_order(tmp_path):
+    cache = ResponseCache(tmp_path / "cache")
+    cache.put(request(prompt="hit-a"), "CWE-119")
+    cache.put(request(prompt="hit-b"), "CWE-476")
+    provider = ScriptedProvider(
+        {"miss-a": "CWE-120", "refused": "refuse", "miss-b": "CWE-469"}
+    )
+    prompts = ["miss-a", "hit-a", "refused", "hit-b", "miss-b", "miss-a"]
+    results = complete(
+        [request(prompt=p) for p in prompts], provider, cache, max_in_flight=3
+    )
+
+    assert isinstance(results[2], ProviderRefusalError)
+    assert str(results[2]) == "declined refused"
+    served = [(r.text, r.cached) for i, r in enumerate(results) if i != 2]
+    assert served == [
+        ("CWE-120", False),
+        ("CWE-119", True),
+        ("CWE-476", True),
+        ("CWE-469", False),
+        ("CWE-120", False),
+    ]
+    # Both copies of "miss-a" miss: a batch is not de-duplicated.
+    assert provider.call_count == 4
+    assert cache.get(request(prompt="refused")) is None
+    assert cache.get(request(prompt="miss-b")) == "CWE-469"
+
+
+def test_pool_is_sized_to_the_misses(tmp_path, monkeypatch):
+    sizes = []
+    real_pool = llmclient.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        sizes.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(llmclient, "ThreadPoolExecutor", recording_pool)
+    cache = ResponseCache(tmp_path / "cache")
+    provider = FixedProvider("CWE-119")
+    complete([request(prompt="a")], provider, cache, max_in_flight=4)
+    complete([request(prompt=p) for p in "abcdefg"], provider, cache, max_in_flight=4)
+    hits = complete([request(prompt=p) for p in "gfe"], provider, cache, max_in_flight=4)
+    # An all-hit batch builds no pool at all.
+    assert sizes == [1, 4]
+    assert all(r.cached for r in hits) and provider.call_count == 7
 
 
 def test_fixed_provider():
@@ -237,6 +304,30 @@ def test_remote_provider_retries_transport_then_succeeds():
     assert provider.generate(request()) == "ok"
     assert len(session.requests) == 3
     assert sleeps == [0.5, 1.0]
+
+
+@pytest.mark.parametrize(
+    ("first", "sleeps"),
+    [
+        (StubResponse(429, headers={"Retry-After": "3"}), [3.0, 1.0]),
+        (StubResponse(429, headers={"Retry-After": "0"}), [0.5, 1.0]),
+        (StubResponse(429, headers={"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"}), [0.5, 1.0]),
+        (StubResponse(429, headers={}), [0.5, 1.0]),
+        (StubResponse(429), [0.5, 1.0]),
+        (StubResponse(503, headers={"Retry-After": "3"}), [0.5, 1.0]),
+    ],
+    ids=["seconds", "zero", "http-date", "absent", "no-headers-attribute", "not-a-429"],
+)
+def test_remote_provider_honours_retry_after_on_429(first, sleeps):
+    session = StubSession([first, StubResponse(503), StubResponse(200, {"text": "ok"})])
+    slept = []
+    provider = RemoteChatProvider(
+        endpoint="https://llm.test/v1", session=session, sleep=slept.append
+    )
+    assert provider.generate(request()) == "ok"
+    assert len(session.requests) == 3
+    # The wait a 429 asks for covers only the retry right after it.
+    assert slept == sleeps
 
 
 def test_remote_provider_exhausted_retries():

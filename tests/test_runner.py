@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from vulnprompt import runner
+from vulnprompt import llmclient, runner
 from vulnprompt.config import ExperimentConfig, ProviderSettings
 from vulnprompt.corpus import dump_jsonl, ingest
 from vulnprompt.embedding import EmbeddingInput
@@ -352,6 +352,66 @@ def test_cache_makes_second_run_cached(small_corpus_path, small_corpus, tmp_path
     assert report.provider_calls == 0
     records = load_records(tmp_path / "out" / "records.jsonl")
     assert all(r.cached is True for r in records)
+
+
+def test_warm_replay_starts_no_worker_thread(
+    small_corpus_path, small_corpus, tmp_path, monkeypatch
+):
+    config = make_config(
+        small_corpus_path,
+        tmp_path / "out",
+        strategies=(
+            Strategy.ZERO_SHOT,
+            Strategy.RANDOM_FEW_SHOT,
+            Strategy.RETRIEVAL_FEW_SHOT,
+        ),
+        cache_dir=str(tmp_path / "cache"),
+        provider=ProviderSettings(max_in_flight=4),
+    )
+    run(config, provider=oracle_for_corpus(small_corpus))
+    filled = load_records(tmp_path / "out" / "records.jsonl")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a warm replay built a thread pool")
+
+    monkeypatch.setattr(llmclient, "ThreadPoolExecutor", no_pool)
+    report = run(config, provider=oracle_for_corpus(small_corpus))
+    assert report.provider_calls == 0
+    records = load_records(tmp_path / "out" / "records.jsonl")
+    assert len(records) == 5 * len(small_corpus.test)
+    assert all(r.cached is True for r in records)
+    assert [dataclasses.replace(r, cached=None) for r in records] == [
+        dataclasses.replace(r, cached=None) for r in filled
+    ]
+
+
+def test_identical_prompts_in_one_cell_both_miss_every_time(synthetic_corpus, tmp_path):
+    # The first and the last test sample share their code, so the zero-shot
+    # cell holds two identical prompts. Neither may hit an entry the other
+    # stored during the same cell, however the workers interleave.
+    corpus_path = tmp_path / "dup.jsonl"
+    dump_jsonl(synthetic_corpus, corpus_path)
+    rows = [json.loads(line) for line in corpus_path.read_text(encoding="utf-8").splitlines()]
+    test_rows = [row for row in rows if row["split"] == "test"]
+    test_rows[-1]["code"] = test_rows[0]["code"]
+    corpus_path.write_text(
+        "".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8"
+    )
+
+    outputs = []
+    for attempt in range(3):
+        config = make_config(
+            corpus_path,
+            tmp_path / f"out{attempt}",
+            strategies=(Strategy.ZERO_SHOT,),
+            cache_dir=str(tmp_path / f"cache{attempt}"),
+            provider=ProviderSettings(max_in_flight=4),
+        )
+        report = run(config, provider=FixedProvider("CWE-119"))
+        assert report.provider_calls == len(test_rows)
+        outputs.append((tmp_path / f"out{attempt}" / "records.jsonl").read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert all(r.cached is False for r in load_records(tmp_path / "out0" / "records.jsonl"))
 
 
 @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,3 +170,28 @@ def test_prefix_property_random(seed, k):
     shorter = [h.sample_id for h in top_k(index, query, k)]
     longer = [h.sample_id for h in top_k(index, query, k + 1)]
     assert longer[:k] == shorter
+
+
+# A few fixed directions: entries sharing one have bit-identical similarities
+# to any query, so most draws put a run of ties across the k-th position.
+TIE_DIRECTIONS = ((1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0), (0, 0, 1, 1))
+
+
+@st.composite
+def tied_index_and_query(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    directions = draw(st.lists(st.sampled_from(TIE_DIRECTIONS), min_size=n, max_size=n))
+    ids = draw(st.permutations([f"s{i:03d}" for i in range(n)]))
+    query = draw(st.sampled_from(TIE_DIRECTIONS + ((1, 1, 1, 1),)))
+    k = draw(st.integers(min_value=1, max_value=n + 2))
+    return build([entry(i, d) for i, d in zip(ids, directions)]), unit_vector(query), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_index_and_query())
+def test_top_k_equals_full_lexsort_with_ties_at_k(case):
+    index, query, k = case
+    sims = index.matrix @ np.asarray(query.values, dtype=np.float64)
+    full = np.lexsort((index.ids, -sims))[: min(k, len(index))]
+    expected = [(str(index.ids[i]), float(sims[i])) for i in full]
+    assert [(h.sample_id, h.similarity) for h in top_k(index, query, k)] == expected
