@@ -10,10 +10,8 @@ from the package, so either client module can import it without a cycle.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
-import threading
 import time
 
 
@@ -25,8 +23,8 @@ class JsonPostClient:
     before each retry, or longer when a 429 carries a numeric `Retry-After`
     (seconds); exhausting them raises `transport_error`. Any other
     non-200 status, and a 200 whose body is not a JSON object, raises
-    `error` at once. With `max_in_flight` set, at most that many POSTs are
-    outstanding at a time; the backoff sleep happens outside that limit.
+    `error` at once. The client sets no concurrency limit of its own: the
+    caller decides how many POSTs are outstanding at once.
     """
 
     def __init__(
@@ -39,7 +37,6 @@ class JsonPostClient:
         retry_base_delay_s: float,
         transport_error: type,
         error: type,
-        max_in_flight: int | None = None,
         session=None,
         sleep=time.sleep,
     ) -> None:
@@ -60,11 +57,6 @@ class JsonPostClient:
         # replace it on the instance after this client is built.
         self._session = session
         self._sleep = sleep
-        self._gate = (
-            threading.Semaphore(max_in_flight)
-            if max_in_flight is not None
-            else contextlib.nullcontext()
-        )
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -82,13 +74,12 @@ class JsonPostClient:
                 self._sleep(max(backoff, retry_after))
                 retry_after = 0.0
             try:
-                with self._gate:
-                    response = self._session.post(
-                        self.endpoint,
-                        json=payload,
-                        headers=self._headers(),
-                        timeout=self.timeout_s,
-                    )
+                response = self._session.post(
+                    self.endpoint,
+                    json=payload,
+                    headers=self._headers(),
+                    timeout=self.timeout_s,
+                )
             except Exception as exc:
                 last_error = self._transport_error(f"request failed: {exc}")
                 continue

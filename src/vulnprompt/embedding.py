@@ -43,7 +43,7 @@ class EmbeddingInputTooLarge(EmbeddingError):
 
 @dataclass(frozen=True)
 class EmbeddingVector:
-    """A unit-norm embedding, validated at construction."""
+    """A finite, unit-norm embedding, validated at construction."""
 
     values: tuple
 
@@ -51,7 +51,7 @@ class EmbeddingVector:
         if not self.values:
             raise EmbeddingError("embedding vector must be non-empty")
         norm = math.sqrt(sum(v * v for v in self.values))
-        if abs(norm - 1.0) > NORM_TOLERANCE:
+        if not math.isfinite(norm) or abs(norm - 1.0) > NORM_TOLERANCE:
             raise EmbeddingError(f"embedding vector norm {norm!r} is not 1.0")
 
     @property
@@ -187,7 +187,11 @@ class RemoteEmbeddingBackend:
                 f"endpoint returned {len(raw) if isinstance(raw, list) else 'no'}"
                 f" values, expected {self.dimension}"
             )
-        norm = math.sqrt(sum(float(v) ** 2 for v in raw))
+        try:
+            values = [float(v) for v in raw]
+        except (TypeError, ValueError, OverflowError):
+            raise EmbeddingError("endpoint returned a non-numeric embedding value") from None
+        norm = math.sqrt(sum(v**2 for v in values))
         if norm == 0.0:
             raise EmbeddingError("endpoint returned a zero vector")
-        return EmbeddingVector(values=tuple(float(v) / norm for v in raw))
+        return EmbeddingVector(values=tuple(v / norm for v in values))

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 import threading
 import time
 from collections.abc import Sequence
@@ -21,6 +19,7 @@ from pathlib import Path
 from typing import Protocol
 
 from ._http import JsonPostClient
+from .fileio import atomic_write_text
 from .labels import format_labels
 from .prompting import extract_test_code, shot_label_lines
 
@@ -90,6 +89,8 @@ class CompletionResult:
 
 class Provider(Protocol):
     call_count: int
+    max_in_flight: int
+    """How many generate calls the provider may have outstanding at once."""
 
     def generate(self, request: CompletionRequest) -> str: ...
 
@@ -128,18 +129,7 @@ class ResponseCache:
             "response": response,
             "timestamp": time.time(),
         }
-        path = self._path(request.cache_key())
-        fd, tmp_name = tempfile.mkstemp(dir=self.root, prefix=".cache.", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(record, handle)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write_text(self._path(request.cache_key()), json.dumps(record))
 
     def stats(self) -> dict:
         files = list(self.root.glob("*.json"))
@@ -160,14 +150,14 @@ def complete(
     requests: Sequence[CompletionRequest],
     provider: Provider,
     cache: ResponseCache | None = None,
-    max_in_flight: int = 1,
 ) -> list:
     """Resolve a batch of requests; results come back in input order.
 
-    Cache hits are read on the calling thread. Only the misses go to the
-    provider, on a pool of min(max_in_flight, misses) threads, and no pool is
-    built when every request hits. Requests are not de-duplicated: identical
-    requests in one batch all miss together. Each result is a
+    Every cache lookup finishes on the calling thread before any miss is
+    fetched, so identical requests in one batch all miss together; requests
+    are not de-duplicated. Misses go to the provider on a pool of
+    min(provider.max_in_flight, misses) threads, or in order on the calling
+    thread when that is 1, as it is for the in-process mocks. Each result is a
     CompletionResult, or the ProviderError that request raised; refusals are
     never retried or cached, and retry policy for transport errors lives
     inside remote providers. Any other exception propagates.
@@ -198,15 +188,21 @@ def complete(
             text=text, cached=False, latency_ms=(time.perf_counter() - start) * 1000
         )
 
-    with ThreadPoolExecutor(max_workers=min(max_in_flight, len(misses))) as pool:
-        fetched = pool.map(fetch, [requests[i] for i in misses])
-        for i, result in zip(misses, fetched):
-            results[i] = result
+    workers = min(provider.max_in_flight, len(misses))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            fetched = list(pool.map(fetch, [requests[i] for i in misses]))
+    else:
+        fetched = [fetch(requests[i]) for i in misses]
+    for i, result in zip(misses, fetched):
+        results[i] = result
     return results
 
 
 class _CountingProvider:
-    """Thread-safe call counter shared by all mock providers."""
+    """Thread-safe call counter shared by all providers; mocks resolve inline."""
+
+    max_in_flight = 1
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -294,6 +290,7 @@ class RemoteChatProvider(_CountingProvider):
         sleep=time.sleep,
     ) -> None:
         super().__init__()
+        self.max_in_flight = max_in_flight
         self._http = JsonPostClient(
             endpoint,
             api_key_env=api_key_env,
@@ -302,7 +299,6 @@ class RemoteChatProvider(_CountingProvider):
             retry_base_delay_s=retry_base_delay_s,
             transport_error=ProviderTransportError,
             error=ProviderError,
-            max_in_flight=max_in_flight,
             session=session,
             sleep=sleep,
         )

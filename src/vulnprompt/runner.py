@@ -7,9 +7,9 @@ prediction log, a JSON report, and a CSV table.
 
 A prompted cell selects shots and renders one CompletionRequest per test
 sample on the calling thread, resolves them all with one llmclient.complete
-call (cache hits inline, only misses on a worker pool of at most
-provider.max_in_flight threads), then parses the replies into records in
-test-split order.
+call, then parses the replies into records in test-split order. The provider
+decides how its cache misses run: the in-process mocks answer inline, and the
+remote provider keeps at most its max_in_flight requests outstanding.
 
 Given a mock provider, a fixed seed, and a warm cache, reruns are
 byte-identical; timestamps live in a separate metadata block so they never
@@ -369,9 +369,7 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
             )
             for _, _, prompt in prompts
         ]
-        results = complete(
-            requests, provider, cache, max_in_flight=config.provider.max_in_flight
-        )
+        results = complete(requests, provider, cache)
         if config.strict:
             for result in results:
                 if isinstance(result, ProviderError):

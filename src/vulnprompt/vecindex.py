@@ -149,13 +149,19 @@ def load_index(path: str | Path) -> VectorIndex:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise VecIndexError(f"line {line_no}: malformed JSON: {exc}") from None
+            if not isinstance(record, dict):
+                raise VecIndexError(f"line {line_no}: not a JSON object")
             for key in ("id", "vector", "labels"):
                 if key not in record:
                     raise VecIndexError(f"line {line_no}: missing field {key!r}")
+            try:
+                values = tuple(float(v) for v in record["vector"])
+            except (TypeError, ValueError, OverflowError):
+                raise VecIndexError(f"line {line_no}: vector is not a list of numbers") from None
             entries.append(
                 IndexEntry(
                     sample_id=record["id"],
-                    vector=EmbeddingVector(values=tuple(float(v) for v in record["vector"])),
+                    vector=EmbeddingVector(values=values),
                     truth=label_set(record["labels"]),
                 )
             )

@@ -61,6 +61,9 @@ def test_vector_requires_unit_norm():
     EmbeddingVector(values=(1.0, 0.0))
     with pytest.raises(EmbeddingError, match="norm"):
         EmbeddingVector(values=(1.0, 1.0))
+    for values in [(float("nan"), 0.0), (float("nan"), 1.0), (1.0, float("-inf"))]:
+        with pytest.raises(EmbeddingError, match="norm"):
+            EmbeddingVector(values=values)
     with pytest.raises(EmbeddingError):
         EmbeddingVector(values=())
 
@@ -224,6 +227,31 @@ def test_remote_oversize_precheck_makes_no_call():
     with pytest.raises(EmbeddingInputTooLarge, match="50 chars"):
         backend.embed(EmbeddingInput(code="y" * 50))
     assert session.requests == []
+
+
+@pytest.mark.parametrize(
+    ("values", "error"),
+    [
+        ([float("nan"), 1.0, 0.0, 0.0], "norm nan"),
+        ([float("inf"), 1.0, 0.0, 0.0], "norm nan"),
+        ([None, 1.0, 0.0, 0.0], "non-numeric"),
+        (["x", 1.0, 0.0, 0.0], "non-numeric"),
+        ([10**400, 1.0, 0.0, 0.0], "non-numeric"),
+    ],
+    ids=["nan", "inf", "null", "string", "huge-int"],
+)
+def test_remote_bad_embedding_values_are_typed_errors(values, error):
+    session = StubSession([StubResponse(200, {"embedding": values})])
+    backend = RemoteEmbeddingBackend(
+        endpoint="https://embed.test/v1",
+        model="embed-small",
+        dimension=4,
+        session=session,
+        sleep=lambda s: None,
+    )
+    with pytest.raises(EmbeddingError, match=error):
+        backend.embed(EmbeddingInput(code="int x;"))
+    assert len(session.requests) == 1
 
 
 def test_remote_dimension_mismatch():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -177,10 +179,9 @@ def test_mixed_batch_keeps_input_order(tmp_path):
     provider = ScriptedProvider(
         {"miss-a": "CWE-120", "refused": "refuse", "miss-b": "CWE-469"}
     )
+    provider.max_in_flight = 3
     prompts = ["miss-a", "hit-a", "refused", "hit-b", "miss-b", "miss-a"]
-    results = complete(
-        [request(prompt=p) for p in prompts], provider, cache, max_in_flight=3
-    )
+    results = complete([request(prompt=p) for p in prompts], provider, cache)
 
     assert isinstance(results[2], ProviderRefusalError)
     assert str(results[2]) == "declined refused"
@@ -209,12 +210,49 @@ def test_pool_is_sized_to_the_misses(tmp_path, monkeypatch):
     monkeypatch.setattr(llmclient, "ThreadPoolExecutor", recording_pool)
     cache = ResponseCache(tmp_path / "cache")
     provider = FixedProvider("CWE-119")
-    complete([request(prompt="a")], provider, cache, max_in_flight=4)
-    complete([request(prompt=p) for p in "abcdefg"], provider, cache, max_in_flight=4)
-    hits = complete([request(prompt=p) for p in "gfe"], provider, cache, max_in_flight=4)
-    # An all-hit batch builds no pool at all.
-    assert sizes == [1, 4]
+    provider.max_in_flight = 4
+    complete([request(prompt="a")], provider, cache)
+    complete([request(prompt=p) for p in "abc"], provider, cache)
+    complete([request(prompt=p) for p in "abcdefg"], provider, cache)
+    hits = complete([request(prompt=p) for p in "gfe"], provider, cache)
+    # A lone miss is fetched inline and an all-hit batch builds no pool at all.
+    assert sizes == [2, 4]
     assert all(r.cached for r in hits) and provider.call_count == 7
+
+
+class ConcurrencyCountingSession:
+    """Answers every POST after a short wait, recording the most outstanding."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.active = 0
+        self.peak = 0
+        self.posts = 0
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        with self._lock:
+            self.active += 1
+            self.posts += 1
+            self.peak = max(self.peak, self.active)
+        time.sleep(0.01)
+        with self._lock:
+            self.active -= 1
+        return StubResponse(200, {"text": "CWE-119"})
+
+
+def test_remote_provider_keeps_at_most_max_in_flight_posts_outstanding(tmp_path):
+    session = ConcurrencyCountingSession()
+    provider = RemoteChatProvider(
+        endpoint="https://llm.test/v1", max_in_flight=3, session=session
+    )
+    results = complete(
+        [request(prompt=f"p{i}") for i in range(12)],
+        provider,
+        ResponseCache(tmp_path / "cache"),
+    )
+    assert [r.text for r in results] == ["CWE-119"] * 12
+    assert session.posts == provider.call_count == 12
+    assert 1 < session.peak <= 3
 
 
 def test_fixed_provider():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import threading
 
 import pytest
 
@@ -383,6 +384,36 @@ def test_warm_replay_starts_no_worker_thread(
     assert [dataclasses.replace(r, cached=None) for r in records] == [
         dataclasses.replace(r, cached=None) for r in filled
     ]
+
+
+def test_cold_mock_run_fetches_misses_on_the_calling_thread(
+    small_corpus_path, small_corpus, tmp_path, monkeypatch
+):
+    # max_in_flight configures the remote provider only; a mock answers from
+    # memory, so its misses never go to a worker thread.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a mock provider's misses went to a thread pool")
+
+    monkeypatch.setattr(llmclient, "ThreadPoolExecutor", no_pool)
+    provider = oracle_for_corpus(small_corpus)
+    threads = set()
+    real_generate = provider.generate
+
+    def recording_generate(request):
+        threads.add(threading.get_ident())
+        return real_generate(request)
+
+    provider.generate = recording_generate
+    config = make_config(
+        small_corpus_path,
+        tmp_path / "out",
+        strategies=(Strategy.ZERO_SHOT, Strategy.RETRIEVAL_FEW_SHOT),
+        cache_dir=str(tmp_path / "cache"),
+        provider=ProviderSettings(max_in_flight=4),
+    )
+    report = run(config, provider=provider)
+    assert report.provider_calls > 0
+    assert threads == {threading.get_ident()}
 
 
 def test_identical_prompts_in_one_cell_both_miss_every_time(synthetic_corpus, tmp_path):

@@ -160,6 +160,26 @@ def test_load_rejects_malformed(tmp_path):
         load_index(path)
 
 
+@pytest.mark.parametrize(
+    ("bad_line", "error"),
+    [
+        ('{"id": "b", "vector": [0.0, "x"], "labels": ["CWE-119"]}', "line 2: vector is not"),
+        ('{"id": "b", "vector": [0.0, null], "labels": ["CWE-119"]}', "line 2: vector is not"),
+        ('{"id": "b", "vector": 1.0, "labels": ["CWE-119"]}', "line 2: vector is not"),
+        ('{"id": "b", "vector": [1%s, 0.0], "labels": ["CWE-119"]}' % ("0" * 400), "line 2: vector is not"),
+        ("[1, 2]", "line 2: not a JSON object"),
+        ('"idvectorlabels"', "line 2: not a JSON object"),
+    ],
+    ids=["string-value", "null-value", "not-a-list", "huge-int", "list-line", "string-line"],
+)
+def test_load_rejects_malformed_numbers_with_line_number(tmp_path, bad_line, error):
+    path = tmp_path / "index.jsonl"
+    good = '{"id": "a", "vector": [1.0, 0.0], "labels": ["CWE-119"]}'
+    path.write_text(f"{good}\n{bad_line}\n", encoding="utf-8")
+    with pytest.raises(VecIndexError, match=error):
+        load_index(path)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=12))
 def test_prefix_property_random(seed, k):
