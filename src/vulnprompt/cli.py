@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from .config import ConfigError, load_config
@@ -132,12 +133,12 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    cache = ResponseCache(args.cache_dir)
-    if args.cache_command == "stats":
-        print(json.dumps(cache.stats(), indent=2, sort_keys=True))
-    else:
-        removed = cache.clear()
-        print(f"removed {removed} cached response(s)")
+    with closing(ResponseCache(args.cache_dir)) as cache:
+        if args.cache_command == "stats":
+            print(json.dumps(cache.stats(), indent=2, sort_keys=True))
+        else:
+            removed = cache.clear()
+            print(f"removed {removed} cached response(s)")
     return EXIT_OK
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sqlite3
 import threading
 import time
 from collections.abc import Sequence
@@ -19,7 +20,6 @@ from pathlib import Path
 from typing import Protocol
 
 from ._http import JsonPostClient
-from .fileio import atomic_write_text
 from .labels import format_labels
 from .prompting import extract_test_code, shot_label_lines
 
@@ -95,55 +95,100 @@ class Provider(Protocol):
     def generate(self, request: CompletionRequest) -> str: ...
 
 
+CACHE_FILENAME = "responses.sqlite3"
+# How long a statement waits for another connection's lock before failing.
+_BUSY_TIMEOUT_S = 5.0
+
+
+def _decode_text(raw: bytes) -> str | None:
+    """SQLite text that is not valid UTF-8 reads as None, which is a miss."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+
+
 class ResponseCache:
-    """One JSON file per request key, written atomically."""
+    """Responses keyed by request hash, in one SQLite file under the cache root.
+
+    Rows hold only the key and the response text. The connection belongs to
+    the thread that opened the cache, and every put commits on its own, so an
+    interrupted batch keeps each answer stored before the interruption.
+    """
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
+        self.path = self.root / CACHE_FILENAME
         try:
             self.root.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise CacheError(f"cache root {self.root} is not a directory: {exc}") from None
+        if next(self.root.glob("*.json"), None) is not None:
+            raise CacheError(
+                f"cache root {self.root} holds *.json entries of the old "
+                "one-file-per-key layout, which is no longer read; use a new "
+                "cache_dir or delete those files"
+            )
+        try:
+            self._db = sqlite3.connect(
+                self.path, timeout=_BUSY_TIMEOUT_S, isolation_level=None
+            )
+        except sqlite3.Error as exc:
+            raise self._unusable(exc) from None
+        self._db.text_factory = _decode_text
+        try:
+            self._execute("PRAGMA journal_mode=WAL")
+            self._execute("PRAGMA synchronous=NORMAL")
+            self._execute(
+                "CREATE TABLE IF NOT EXISTS responses "
+                "(key TEXT PRIMARY KEY, response TEXT) WITHOUT ROWID"
+            )
+        except CacheError:
+            self._db.close()
+            raise
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
+    def _unusable(self, exc: sqlite3.Error) -> CacheError:
+        return CacheError(f"unusable cache database {self.path}: {exc}")
+
+    def _execute(self, sql: str, params: tuple = ()) -> list:
+        try:
+            return self._db.execute(sql, params).fetchall()
+        except sqlite3.Error as exc:
+            raise self._unusable(exc) from None
 
     def get(self, request: CompletionRequest) -> str | None:
         """The cached response, or None on a miss.
 
-        A missing, truncated or undecodable file, or one without a string
-        "response", is a miss, so the next put rewrites it.
+        A missing row, or one whose response is not valid text (NULL, a BLOB,
+        bytes that are not UTF-8), is a miss, so the next put rewrites it.
         """
-        path = self._path(request.cache_key())
-        try:
-            response = json.loads(path.read_text(encoding="utf-8"))["response"]
-        except (FileNotFoundError, ValueError, KeyError, TypeError):
-            return None
-        except OSError as exc:
-            raise CacheError(f"unreadable cache file {path}: {exc}") from None
-        return response if isinstance(response, str) else None
+        rows = self._execute(
+            "SELECT response FROM responses WHERE key = ?", (request.cache_key(),)
+        )
+        return rows[0][0] if rows and isinstance(rows[0][0], str) else None
 
     def put(self, request: CompletionRequest, response: str) -> None:
-        record = {
-            "request": request.to_json_dict(),
-            "response": response,
-            "timestamp": time.time(),
-        }
-        atomic_write_text(self._path(request.cache_key()), json.dumps(record))
+        self._execute(
+            "INSERT OR REPLACE INTO responses VALUES (?, ?)",
+            (request.cache_key(), response),
+        )
 
     def stats(self) -> dict:
-        files = list(self.root.glob("*.json"))
+        ((entries,),) = self._execute("SELECT COUNT(*) FROM responses")
         return {
-            "entries": len(files),
-            "bytes": sum(f.stat().st_size for f in files),
+            "entries": entries,
+            "bytes": sum(f.stat().st_size for f in self.root.glob(CACHE_FILENAME + "*")),
             "root": str(self.root),
         }
 
     def clear(self) -> int:
-        files = list(self.root.glob("*.json"))
-        for f in files:
-            f.unlink()
-        return len(files)
+        ((removed,),) = self._execute("SELECT COUNT(*) FROM responses")
+        self._execute("DELETE FROM responses")
+        self._execute("VACUUM")
+        return removed
+
+    def close(self) -> None:
+        self._db.close()
 
 
 def complete(
@@ -157,10 +202,13 @@ def complete(
     fetched, so identical requests in one batch all miss together; requests
     are not de-duplicated. Misses go to the provider on a pool of
     min(provider.max_in_flight, misses) threads, or in order on the calling
-    thread when that is 1, as it is for the in-process mocks. Each result is a
-    CompletionResult, or the ProviderError that request raised; refusals are
-    never retried or cached, and retry policy for transport errors lives
-    inside remote providers. Any other exception propagates.
+    thread when that is 1, as it is for the in-process mocks. The calling
+    thread stores each fresh answer as it takes it, in input order, so no
+    worker touches the cache and an exception after the Nth answer leaves the
+    first N-1 stored. Each result is a CompletionResult, or the ProviderError
+    that request raised; refusals are never retried or cached, and retry
+    policy for transport errors lives inside remote providers. Any other
+    exception propagates.
     """
     results: list = [None] * len(requests)
     misses: list = []
@@ -182,20 +230,23 @@ def complete(
             text = provider.generate(request)
         except ProviderError as exc:
             return exc
-        if cache is not None:
-            cache.put(request, text)
         return CompletionResult(
             text=text, cached=False, latency_ms=(time.perf_counter() - start) * 1000
         )
 
+    pending = [requests[i] for i in misses]
     workers = min(provider.max_in_flight, len(misses))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fetched = list(pool.map(fetch, [requests[i] for i in misses]))
-    else:
-        fetched = [fetch(requests[i]) for i in misses]
-    for i, result in zip(misses, fetched):
-        results[i] = result
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    fetched = pool.map(fetch, pending) if pool is not None else map(fetch, pending)
+    try:
+        for i, result in zip(misses, fetched):
+            if cache is not None and isinstance(result, CompletionResult):
+                cache.put(requests[i], result.text)
+            results[i] = result
+    finally:
+        if pool is not None:
+            # Requests not yet started are dropped if the loop above raised.
+            pool.shutdown(cancel_futures=True)
     return results
 
 

@@ -413,16 +413,20 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
             similarities=tuple(n.similarity for n in neighbors),
         )
 
-    for strategy in config.strategies:
-        ks = (0,) if strategy is Strategy.ZERO_SHOT else config.shot_counts
-        for k in ks:
-            if strategy is Strategy.RETRIEVAL_LABELING:
-                cell_records = [
-                    evaluate_retrieval_labeling(sample, k) for sample in corpus.test
-                ]
-            else:
-                cell_records = evaluate_prompted_cell(strategy, k)
-            records.extend(cell_records)
+    try:
+        for strategy in config.strategies:
+            ks = (0,) if strategy is Strategy.ZERO_SHOT else config.shot_counts
+            for k in ks:
+                if strategy is Strategy.RETRIEVAL_LABELING:
+                    cell_records = [
+                        evaluate_retrieval_labeling(sample, k) for sample in corpus.test
+                    ]
+                else:
+                    cell_records = evaluate_prompted_cell(strategy, k)
+                records.extend(cell_records)
+    finally:
+        if cache is not None:
+            cache.close()
 
     cells = cells_from_records(records, corpus)
     provider_calls = (

@@ -16,7 +16,7 @@ import numpy as np
 
 from .embedding import EmbeddingVector
 from .fileio import atomic_write_text
-from .labels import CweLabel, label_codes, label_set
+from .labels import CweLabel, UnknownLabelError, label_codes, label_set
 
 
 class VecIndexError(ValueError):
@@ -158,11 +158,18 @@ def load_index(path: str | Path) -> VectorIndex:
                 values = tuple(float(v) for v in record["vector"])
             except (TypeError, ValueError, OverflowError):
                 raise VecIndexError(f"line {line_no}: vector is not a list of numbers") from None
+            codes = record["labels"]
+            if not isinstance(codes, list) or not all(isinstance(c, str) for c in codes):
+                raise VecIndexError(f"line {line_no}: labels is not a list of strings")
+            try:
+                truth = label_set(codes)
+            except UnknownLabelError as exc:
+                raise VecIndexError(f"line {line_no}: {exc}") from None
             entries.append(
                 IndexEntry(
                     sample_id=record["id"],
                     vector=EmbeddingVector(values=values),
-                    truth=label_set(record["labels"]),
+                    truth=truth,
                 )
             )
     return build(entries)

@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import vulnprompt
 from vulnprompt.cli import EXIT_DATA, EXIT_OK, EXIT_PROVIDER, EXIT_USAGE, main
+from vulnprompt.llmclient import CACHE_FILENAME
 
 
 @pytest.fixture()
@@ -121,12 +127,25 @@ def test_run_with_prebuilt_index(workdir):
     assert main(["run", "--config", str(config_path)]) == EXIT_OK
 
 
+def set_vector_head(record, value):
+    record["vector"][0] = value
+
+
+def set_labels(record, value):
+    record["labels"] = value
+
+
 @pytest.mark.parametrize(
-    ("value", "message"),
-    [(float("nan"), "norm nan"), ("x", "vector is not a list of numbers")],
-    ids=["nan", "string"],
+    ("corrupt", "value", "message"),
+    [
+        (set_vector_head, float("nan"), "norm nan"),
+        (set_vector_head, "x", "vector is not a list of numbers"),
+        (set_labels, ["CWE-999"], "line 1: not an in-scope CWE label: 'CWE-999'"),
+        (set_labels, "CWE-119", "line 1: labels is not a list of strings"),
+    ],
+    ids=["nan", "string", "unknown-label", "labels-not-a-list"],
 )
-def test_run_with_corrupt_index_value_exits_3(workdir, capsys, value, message):
+def test_run_with_corrupt_index_value_exits_3(workdir, capsys, corrupt, value, message):
     index_path = workdir / "index.jsonl"
     assert (
         main(["index", "build", "--corpus", str(workdir / "corpus.jsonl"), "--out", str(index_path)])
@@ -134,7 +153,7 @@ def test_run_with_corrupt_index_value_exits_3(workdir, capsys, value, message):
     )
     lines = index_path.read_text(encoding="utf-8").splitlines()
     record = json.loads(lines[0])
-    record["vector"][0] = value
+    corrupt(record, value)
     lines[0] = json.dumps(record)
     index_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     config_path = write_config(workdir, index_path=str(index_path))
@@ -198,6 +217,43 @@ def test_cache_root_that_is_a_file_exits_3(workdir, capsys):
     config_path = write_config(workdir, cache_dir=str(cache_root))
     assert main(["run", "--config", str(config_path)]) == EXIT_DATA
     assert "not a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [lambda data: data[: len(data) // 2], lambda data: b"not a database " * 400],
+    ids=["truncated", "not-sqlite"],
+)
+def test_run_with_damaged_cache_database_exits_3(workdir, damage):
+    cache_dir = workdir / "cache"
+    config_path = write_config(workdir, cache_dir=str(cache_dir))
+    assert main(["run", "--config", str(config_path)]) == EXIT_OK
+    database = cache_dir / CACHE_FILENAME
+    database.write_bytes(damage(database.read_bytes()))
+
+    src = str(Path(vulnprompt.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "vulnprompt.cli", "run", "--config", str(config_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=False,
+    )
+    assert proc.returncode == EXIT_DATA
+    assert f"unusable cache database {database}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_run_with_old_layout_cache_dir_exits_3(workdir, capsys):
+    cache_dir = workdir / "cache"
+    cache_dir.mkdir()
+    (cache_dir / f"{'0' * 64}.json").write_text('{"response": "CWE-119"}', encoding="utf-8")
+    config_path = write_config(workdir, cache_dir=str(cache_dir))
+    assert main(["run", "--config", str(config_path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"cache root {cache_dir} holds *.json entries" in err
+    assert "use a new cache_dir or delete those files" in err
+    assert not (cache_dir / CACHE_FILENAME).exists()
 
 
 def test_usage_errors_exit_1(capsys):

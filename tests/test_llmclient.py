@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import sqlite3
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 
 import pytest
 
 from vulnprompt import llmclient
 from vulnprompt.labels import label_set
 from vulnprompt.llmclient import (
+    CacheError,
     CompletionRequest,
     FixedProvider,
     MockProviderError,
@@ -120,22 +123,37 @@ def test_cache_round_trip_byte_fidelity(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "content",
-    [b'{"request": {}, "respo', b"\xff\xfe not utf-8", b'{"request": {}}', b"[1, 2]", b'{"response": 5}'],
+    ("stored", "value"),
+    [
+        # "CWE-119 é" cut inside its last character, as a torn write leaves it.
+        ("CAST(? AS TEXT)", "CWE-119 é".encode("utf-8")[:-1]),
+        ("CAST(? AS TEXT)", b"\xff\xfe not utf-8"),
+        ("?", None),
+        ("?", b"[1, 2]"),
+        ("?", b"CWE-119"),
+    ],
     ids=["truncated", "undecodable", "no-response", "not-an-object", "not-a-string"],
 )
-def test_unreadable_cache_file_is_a_miss_and_rewritten(tmp_path, content):
+def test_unreadable_cache_file_is_a_miss_and_rewritten(tmp_path, stored, value):
+    # A row whose response is not valid text (bytes that are not UTF-8, NULL,
+    # a BLOB even of valid text) reads as a miss and the fresh answer replaces it.
     cache = ResponseCache(tmp_path / "cache")
     req = request()
     complete([req], FixedProvider("CWE-119"), cache)
-    path = cache.root / f"{req.cache_key()}.json"
-    path.write_bytes(content)
+    with closing(sqlite3.connect(cache.path)) as raw:
+        raw.execute(
+            f"UPDATE responses SET response = {stored} WHERE key = ?",
+            (value, req.cache_key()),
+        )
+        raw.commit()
     assert cache.get(req) is None
 
     provider = FixedProvider("CWE-476")
     (result,) = complete([req], provider, cache)
     assert (result.text, result.cached, provider.call_count) == ("CWE-476", False, 1)
     assert cache.get(req) == "CWE-476"
+    with closing(sqlite3.connect(cache.path)) as raw:
+        assert raw.execute("SELECT typeof(response) FROM responses").fetchall() == [("text",)]
 
 
 def test_complete_without_cache_calls_provider_each_time():
@@ -155,6 +173,62 @@ def test_cache_stats_and_clear(tmp_path):
     assert stats["bytes"] > 0
     assert cache.clear() == 2
     assert cache.stats()["entries"] == 0
+
+
+def test_cache_holds_one_file_with_keys_and_responses_only(tmp_path):
+    cache = ResponseCache(tmp_path / "cache")
+    req = request(prompt="a prompt the store must not keep")
+    complete([req], FixedProvider("CWE-119"), cache)
+    cache.close()
+    assert [f.name for f in (tmp_path / "cache").iterdir()] == [llmclient.CACHE_FILENAME]
+    with closing(sqlite3.connect(cache.path)) as raw:
+        assert raw.execute("SELECT * FROM responses").fetchall() == [
+            (req.cache_key(), "CWE-119")
+        ]
+
+
+def test_locked_cache_database_raises_cache_error_after_busy_timeout(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(llmclient, "_BUSY_TIMEOUT_S", 0.05)
+    cache = ResponseCache(tmp_path / "cache")
+    cache.put(request(prompt="before"), "CWE-119")
+    with closing(sqlite3.connect(cache.path, isolation_level=None)) as other:
+        other.execute("BEGIN EXCLUSIVE")
+        with pytest.raises(CacheError, match="database is locked"):
+            cache.put(request(prompt="during"), "CWE-476")
+        other.execute("ROLLBACK")
+    cache.put(request(prompt="during"), "CWE-476")
+    assert cache.get(request(prompt="before")) == "CWE-119"
+    assert cache.get(request(prompt="during")) == "CWE-476"
+
+
+class CrashesOnThirdMiss(_CountingProvider):
+    """Answers "answer-<prompt>", but raises RuntimeError for prompt "p2"."""
+
+    def generate(self, req: CompletionRequest) -> str:
+        self._bump()
+        if req.prompt == "p2":
+            raise RuntimeError("provider crashed")
+        return f"answer-{req.prompt}"
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 3], ids=["inline", "pool"])
+def test_answers_before_a_crash_are_stored(tmp_path, max_in_flight):
+    cache = ResponseCache(tmp_path / "cache")
+    requests = [request(prompt=f"p{i}") for i in range(6)]
+    provider = CrashesOnThirdMiss()
+    provider.max_in_flight = max_in_flight
+    with pytest.raises(RuntimeError, match="provider crashed"):
+        complete(requests, provider, cache)
+
+    # Answers are stored in input order as they are taken, so the two before
+    # the crash are kept and none after it, whatever the workers finished.
+    rerun = complete(requests, FixedProvider("fresh"), cache)
+    assert [(r.text, r.cached) for r in rerun] == [
+        ("answer-p0", True),
+        ("answer-p1", True),
+    ] + [("fresh", False)] * 4
 
 
 class ScriptedProvider(_CountingProvider):

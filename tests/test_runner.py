@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sqlite3
 import threading
+from contextlib import closing
 
 import pytest
 
@@ -14,6 +16,7 @@ from vulnprompt.corpus import dump_jsonl, ingest
 from vulnprompt.embedding import EmbeddingInput
 from vulnprompt.labels import label_set
 from vulnprompt.llmclient import (
+    CACHE_FILENAME,
     FixedProvider,
     ParrotProvider,
     RemoteChatProvider,
@@ -458,16 +461,24 @@ def test_truncated_cache_file_is_refetched(small_corpus_path, tmp_path, strict):
     run(config, provider=ParrotProvider())
     clean = load_records(tmp_path / "out" / "records.jsonl")
 
-    victim = sorted(cache_dir.glob("*.json"))[0]
-    intact = victim.read_text(encoding="utf-8")
-    victim.write_text(intact[: len(intact) // 2], encoding="utf-8")
+    # Cut one stored answer in half and store the half as a BLOB, not text.
+    with closing(sqlite3.connect(cache_dir / CACHE_FILENAME)) as raw:
+        victim, intact = raw.execute(
+            "SELECT key, response FROM responses ORDER BY key LIMIT 1"
+        ).fetchone()
+        raw.execute(
+            "UPDATE responses SET response = ? WHERE key = ?",
+            (intact[: len(intact) // 2].encode("utf-8"), victim),
+        )
+        raw.commit()
 
     provider = ParrotProvider()
     report = run(config, provider=provider)
     assert provider.call_count == report.provider_calls == 1
-    assert json.loads(victim.read_text(encoding="utf-8"))["response"] == (
-        json.loads(intact)["response"]
-    )
+    with closing(sqlite3.connect(cache_dir / CACHE_FILENAME)) as raw:
+        assert raw.execute(
+            "SELECT response, typeof(response) FROM responses WHERE key = ?", (victim,)
+        ).fetchone() == (intact, "text")
     rerun = load_records(tmp_path / "out" / "records.jsonl")
     assert [r.cached for r in rerun].count(False) == 1
 

@@ -169,8 +169,21 @@ def test_load_rejects_malformed(tmp_path):
         ('{"id": "b", "vector": [1%s, 0.0], "labels": ["CWE-119"]}' % ("0" * 400), "line 2: vector is not"),
         ("[1, 2]", "line 2: not a JSON object"),
         ('"idvectorlabels"', "line 2: not a JSON object"),
+        ('{"id": "b", "vector": [0.0, 1.0], "labels": ["CWE-999"]}', "line 2: not an in-scope CWE label"),
+        ('{"id": "b", "vector": [0.0, 1.0], "labels": "CWE-119"}', "line 2: labels is not a list of strings"),
+        ('{"id": "b", "vector": [0.0, 1.0], "labels": [119]}', "line 2: labels is not a list of strings"),
     ],
-    ids=["string-value", "null-value", "not-a-list", "huge-int", "list-line", "string-line"],
+    ids=[
+        "string-value",
+        "null-value",
+        "not-a-list",
+        "huge-int",
+        "list-line",
+        "string-line",
+        "unknown-label",
+        "labels-not-a-list",
+        "labels-not-strings",
+    ],
 )
 def test_load_rejects_malformed_numbers_with_line_number(tmp_path, bad_line, error):
     path = tmp_path / "index.jsonl"
