@@ -5,6 +5,14 @@ token is hashed to a coordinate and a sign, counts accumulate, and the result
 is L2-normalized. It needs no network access and is stable across processes,
 which keeps retrieval experiments reproducible. A remote backend speaking a
 minimal JSON contract is provided for real embedding services.
+
+Vectors are read-only 1-D float64 arrays. Hashed vectors are exact: every
+coordinate is a signed token count and the squared norm is a sum of squared
+counts, all integers far below 2**53, so float64 holds them without rounding
+in any summation order (feature hashing with integer counts, Weinberger et
+al., ICML 2009). Only the final square root and division round, once each and
+the same way on every machine, so a vectorised accumulation gives the same
+bits as a token-by-token loop.
 """
 
 from __future__ import annotations
@@ -17,8 +25,10 @@ import time
 from dataclasses import dataclass
 from typing import Protocol
 
+import numpy as np
+
 from ._http import JsonPostClient
-from .labels import CweLabel, format_labels
+from .labels import format_labels
 
 NORM_TOLERANCE = 1e-9
 
@@ -41,22 +51,42 @@ class EmbeddingInputTooLarge(EmbeddingError):
     """Input exceeds the backend's maximum size; reported before any call."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingVector:
-    """A finite, unit-norm embedding, validated at construction."""
+    """A finite, unit-norm embedding: a read-only 1-D float64 array.
 
-    values: tuple
+    Any sequence of numbers is copied into a new read-only array; an array
+    that is already read-only float64 is kept as it is, so index rows stay
+    views of the index matrix. Equality is exact, element by element.
+    """
+
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.values:
-            raise EmbeddingError("embedding vector must be non-empty")
-        norm = math.sqrt(sum(v * v for v in self.values))
+        values = self.values
+        if not (
+            isinstance(values, np.ndarray)
+            and values.dtype == np.float64
+            and not values.flags.writeable
+        ):
+            values = np.array(values, dtype=np.float64)
+            values.flags.writeable = False
+            object.__setattr__(self, "values", values)
+        if values.ndim != 1 or values.size == 0:
+            raise EmbeddingError("embedding vector must be a non-empty 1-D array")
+        # A NaN or infinite value makes the norm non-finite as well.
+        norm = math.sqrt(float(values @ values))
         if not math.isfinite(norm) or abs(norm - 1.0) > NORM_TOLERANCE:
             raise EmbeddingError(f"embedding vector norm {norm!r} is not 1.0")
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EmbeddingVector):
+            return NotImplemented
+        return bool(np.array_equal(self.values, other.values))
+
     @property
     def dim(self) -> int:
-        return len(self.values)
+        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -110,8 +140,9 @@ class HashedBagOfTokensBackend:
 
     Equal token multisets map to bitwise-identical vectors: the per-token
     contributions are exact integers accumulated in float64, so summation
-    order cannot change the result. A token's (index, sign) depends only on
-    the token and the dimension, so each backend memoises it.
+    order cannot change the result (see the module docstring). A token's
+    (index, sign) depends only on the token and the dimension, so each
+    backend memoises it.
     """
 
     def __init__(self, dimension: int = 256) -> None:
@@ -126,15 +157,12 @@ class HashedBagOfTokensBackend:
         tokens = tokenize(item.rendered_text())
         if not tokens:
             raise EmbeddingError("input produced no tokens")
-        accum = [0.0] * self.dimension
-        coordinate = self._coordinate
-        for token in tokens:
-            index, sign = coordinate(token)
-            accum[index] += sign
-        norm = math.sqrt(sum(v * v for v in accum))
+        indices, signs = zip(*map(self._coordinate, tokens))
+        accum = np.bincount(indices, weights=signs, minlength=self.dimension)
+        norm = math.sqrt(float(accum @ accum))
         if norm == 0.0:
             raise EmbeddingError("token contributions cancelled to a zero vector")
-        return EmbeddingVector(values=tuple(v / norm for v in accum))
+        return EmbeddingVector(values=accum / norm)
 
 
 class RemoteEmbeddingBackend:
@@ -143,8 +171,11 @@ class RemoteEmbeddingBackend:
     Request:  POST endpoint  {"model": ..., "input": ...}
     Response: 200 with {"embedding": [floats]}
 
-    Responses are L2-normalized on receipt. Transport failures and 5xx/429
-    statuses are retried with exponential backoff; anything else fails fast.
+    Responses are L2-normalized on receipt. The norm is a sequential Python
+    sum over the returned floats: unlike hashed counts these are arbitrary
+    reals, so a reordered (pairwise or BLAS) sum could move the last bit of a
+    stored vector. Transport failures and 5xx/429 statuses are retried with
+    exponential backoff; anything else fails fast.
     """
 
     def __init__(
@@ -194,4 +225,4 @@ class RemoteEmbeddingBackend:
         norm = math.sqrt(sum(v**2 for v in values))
         if norm == 0.0:
             raise EmbeddingError("endpoint returned a zero vector")
-        return EmbeddingVector(values=tuple(v / norm for v in values))
+        return EmbeddingVector(values=[v / norm for v in values])

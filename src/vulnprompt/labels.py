@@ -7,6 +7,7 @@ anything else is rejected here, at the type boundary.
 from __future__ import annotations
 
 import enum
+import functools
 from collections.abc import Iterable
 
 
@@ -61,5 +62,14 @@ def label_codes(labels: Iterable[CweLabel]) -> list[str]:
 
 
 def format_labels(labels: Iterable[CweLabel]) -> str:
-    """Render labels as "CWE-119, CWE-476" (ascending numeric order)."""
+    """Render labels as "CWE-119, CWE-476" (ascending numeric order).
+
+    Duplicates collapse. The string is memoised per label set; with four
+    labels there are only sixteen sets.
+    """
+    return _format_label_set(frozenset(labels))
+
+
+@functools.cache
+def _format_label_set(labels: frozenset) -> str:
     return ", ".join(label_codes(labels))

@@ -156,22 +156,17 @@ class ResponseCache:
         except sqlite3.Error as exc:
             raise self._unusable(exc) from None
 
-    def get(self, request: CompletionRequest) -> str | None:
-        """The cached response, or None on a miss.
+    def get(self, key: str) -> str | None:
+        """The response cached under a request's `cache_key()`, or None on a miss.
 
         A missing row, or one whose response is not valid text (NULL, a BLOB,
         bytes that are not UTF-8), is a miss, so the next put rewrites it.
         """
-        rows = self._execute(
-            "SELECT response FROM responses WHERE key = ?", (request.cache_key(),)
-        )
+        rows = self._execute("SELECT response FROM responses WHERE key = ?", (key,))
         return rows[0][0] if rows and isinstance(rows[0][0], str) else None
 
-    def put(self, request: CompletionRequest, response: str) -> None:
-        self._execute(
-            "INSERT OR REPLACE INTO responses VALUES (?, ?)",
-            (request.cache_key(), response),
-        )
+    def put(self, key: str, response: str) -> None:
+        self._execute("INSERT OR REPLACE INTO responses VALUES (?, ?)", (key, response))
 
     def stats(self) -> dict:
         ((entries,),) = self._execute("SELECT COUNT(*) FROM responses")
@@ -198,9 +193,10 @@ def complete(
 ) -> list:
     """Resolve a batch of requests; results come back in input order.
 
-    Every cache lookup finishes on the calling thread before any miss is
-    fetched, so identical requests in one batch all miss together; requests
-    are not de-duplicated. Misses go to the provider on a pool of
+    Each request's cache key is computed once and serves both its lookup and,
+    on a miss, its store. Every cache lookup finishes on the calling thread
+    before any miss is fetched, so identical requests in one batch all miss
+    together; requests are not de-duplicated. Misses go to the provider on a pool of
     min(provider.max_in_flight, misses) threads, or in order on the calling
     thread when that is 1, as it is for the in-process mocks. The calling
     thread stores each fresh answer as it takes it, in input order, so no
@@ -210,11 +206,12 @@ def complete(
     policy for transport errors lives inside remote providers. Any other
     exception propagates.
     """
+    keys = [request.cache_key() for request in requests] if cache is not None else None
     results: list = [None] * len(requests)
     misses: list = []
-    for i, request in enumerate(requests):
+    for i in range(len(requests)):
         start = time.perf_counter()
-        hit = cache.get(request) if cache is not None else None
+        hit = cache.get(keys[i]) if cache is not None else None
         if hit is None:
             misses.append(i)
         else:
@@ -241,7 +238,7 @@ def complete(
     try:
         for i, result in zip(misses, fetched):
             if cache is not None and isinstance(result, CompletionResult):
-                cache.put(requests[i], result.text)
+                cache.put(keys[i], result.text)
             results[i] = result
     finally:
         if pool is not None:

@@ -313,10 +313,18 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
                     f"index dim {index.dimension} does not match embedding dim "
                     f"{backend.dimension}"
                 )
-            missing = [e.sample_id for e in index if e.sample_id not in samples_by_id]
+            ids = index.ids.tolist()
+            missing = [i for i in ids if i not in samples_by_id]
             if missing:
                 raise RunnerError(
                     f"index contains ids not in the corpus: {missing[:5]}"
+                )
+            relabelled = [
+                i for i, truth in zip(ids, index.truths) if truth != samples_by_id[i].truth
+            ]
+            if relabelled:
+                raise RunnerError(
+                    f"index labels differ from the corpus truth for ids: {relabelled[:5]}"
                 )
         else:
             index = build_index_from_corpus(

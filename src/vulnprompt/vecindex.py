@@ -16,7 +16,7 @@ import numpy as np
 
 from .embedding import EmbeddingVector
 from .fileio import atomic_write_text
-from .labels import CweLabel, UnknownLabelError, label_codes, label_set
+from .labels import UnknownLabelError, label_codes, label_set
 
 
 class VecIndexError(ValueError):
@@ -47,24 +47,31 @@ class Neighbor:
 
 
 class VectorIndex:
-    """Immutable collection of entries backed by a dense float64 matrix."""
+    """Immutable index: one read-only float64 matrix, its row ids and truths.
 
-    def __init__(self, entries: tuple) -> None:
-        self._entries = entries
-        self._matrix = np.array(
-            [entry.vector.values for entry in entries], dtype=np.float64
-        )
-        self._ids = np.array([entry.sample_id for entry in entries])
+    Row i of `matrix` is the unit vector of sample `ids[i]`, whose
+    ground-truth labels are `truths[i]`. The matrix is the only copy of the
+    vectors; iterating yields entries whose vectors are read-only views of
+    its rows.
+    """
+
+    def __init__(self, ids: np.ndarray, matrix: np.ndarray, truths: tuple) -> None:
+        self._ids = ids
+        self._matrix = matrix
+        self._truths = truths
 
     @property
     def dimension(self) -> int:
         return int(self._matrix.shape[1])
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._truths)
 
     def __iter__(self):
-        return iter(self._entries)
+        for sample_id, row, truth in zip(self._ids.tolist(), self._matrix, self._truths):
+            yield IndexEntry(
+                sample_id=sample_id, vector=EmbeddingVector(values=row), truth=truth
+            )
 
     @property
     def matrix(self) -> np.ndarray:
@@ -74,9 +81,17 @@ class VectorIndex:
     def ids(self) -> np.ndarray:
         return self._ids
 
+    @property
+    def truths(self) -> tuple:
+        return self._truths
+
 
 def build(entries) -> VectorIndex:
-    """Validate entries (non-empty, unique ids, equal dims) and build an index."""
+    """Validate entries (non-empty, unique ids, equal dims) and build an index.
+
+    The entries' vectors are stacked into the index matrix once; the index
+    keeps no reference to the entries themselves.
+    """
     entries = tuple(entries)
     if not entries:
         raise VecIndexError("cannot build an index from zero entries")
@@ -90,7 +105,13 @@ def build(entries) -> VectorIndex:
             raise VecIndexError(
                 f"entry {entry.sample_id!r} has dim {entry.vector.dim}, expected {dim}"
             )
-    return VectorIndex(entries)
+    matrix = np.stack([entry.vector.values for entry in entries])
+    matrix.flags.writeable = False
+    return VectorIndex(
+        np.array([entry.sample_id for entry in entries]),
+        matrix,
+        tuple(entry.truth for entry in entries),
+    )
 
 
 def top_k(index: VectorIndex, query: EmbeddingVector, k: int) -> list:
@@ -105,7 +126,7 @@ def top_k(index: VectorIndex, query: EmbeddingVector, k: int) -> list:
         raise VecIndexError(
             f"query dim {query.dim} does not match index dim {index.dimension}"
         )
-    sims = index.matrix @ np.asarray(query.values, dtype=np.float64)
+    sims = index.matrix @ query.values
     neg = -sims
     take = min(k, len(index))
     # Only rows at least as similar as the take-th best can be returned, so
@@ -123,18 +144,15 @@ def top_k(index: VectorIndex, query: EmbeddingVector, k: int) -> list:
 
 def save_index(index: VectorIndex, path: str | Path) -> None:
     """Persist an index as JSONL: {"id", "vector", "labels"} per line."""
-    lines = []
-    for entry in index:
-        lines.append(
-            json.dumps(
-                {
-                    "id": entry.sample_id,
-                    "vector": list(entry.vector.values),
-                    "labels": label_codes(entry.truth),
-                },
-                sort_keys=True,
-            )
+    lines = [
+        json.dumps(
+            {"id": sample_id, "vector": row, "labels": label_codes(truth)},
+            sort_keys=True,
         )
+        for sample_id, row, truth in zip(
+            index.ids.tolist(), index.matrix.tolist(), index.truths
+        )
+    ]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -155,7 +173,7 @@ def load_index(path: str | Path) -> VectorIndex:
                 if key not in record:
                     raise VecIndexError(f"line {line_no}: missing field {key!r}")
             try:
-                values = tuple(float(v) for v in record["vector"])
+                values = [float(v) for v in record["vector"]]
             except (TypeError, ValueError, OverflowError):
                 raise VecIndexError(f"line {line_no}: vector is not a list of numbers") from None
             codes = record["labels"]

@@ -162,6 +162,25 @@ def test_run_with_corrupt_index_value_exits_3(workdir, capsys, corrupt, value, m
     assert message in capsys.readouterr().err
 
 
+def test_run_with_index_labels_differing_from_corpus_exits_3(workdir, capsys):
+    index_path = workdir / "index.jsonl"
+    assert (
+        main(["index", "build", "--corpus", str(workdir / "corpus.jsonl"), "--out", str(index_path)])
+        == EXIT_OK
+    )
+    lines = index_path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[0])
+    record["labels"] = ["CWE-469"] if record["labels"] != ["CWE-469"] else ["CWE-476"]
+    lines[0] = json.dumps(record)
+    index_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config_path = write_config(workdir, index_path=str(index_path))
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "index labels differ from the corpus truth" in err
+    assert repr(record["id"]) in err
+
+
 def test_run_unknown_config_key_is_usage_error(workdir, capsys):
     config_path = write_config(workdir, typo_key=1)
     rc = main(["run", "--config", str(config_path)])

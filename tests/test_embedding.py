@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from vulnprompt.embedding import (
     tokenize,
 )
 from vulnprompt.labels import label_set
+from vulnprompt.runner import build_index_from_corpus
 
 
 def unit(values):
@@ -66,6 +68,25 @@ def test_vector_requires_unit_norm():
             EmbeddingVector(values=values)
     with pytest.raises(EmbeddingError):
         EmbeddingVector(values=())
+
+
+def test_vector_values_are_a_read_only_float64_copy():
+    source = np.array([0.6, 0.8])
+    vec = EmbeddingVector(values=source)
+    assert vec.values.dtype == np.float64 and vec.values.ndim == 1
+    assert not np.shares_memory(vec.values, source)
+    source[0] = 0.0
+    assert vec.values.tolist() == [0.6, 0.8]
+    with pytest.raises(ValueError, match="read-only"):
+        vec.values[0] = 0.0
+    with pytest.raises(EmbeddingError, match="1-D"):
+        EmbeddingVector(values=[[1.0, 0.0]])
+
+
+def test_vector_equality_is_exact():
+    assert EmbeddingVector(values=(0.6, 0.8)) == EmbeddingVector(values=[0.6, 0.8])
+    nudged = np.nextafter(0.8, 1.0)
+    assert EmbeddingVector(values=(0.6, 0.8)) != EmbeddingVector(values=(0.6, nudged))
 
 
 def test_input_requires_code():
@@ -118,7 +139,7 @@ def test_label_suffix_changes_vector():
     b = backend.embed(tagged)
     cosine = sum(x * y for x, y in zip(a.values, b.values))
     assert cosine < 1.0
-    assert a.values != b.values
+    assert a != b
 
 
 def test_token_multiset_locality():
@@ -138,7 +159,7 @@ def test_remote_success_normalizes():
         sleep=lambda s: None,
     )
     vec = backend.embed(EmbeddingInput(code="int x;"))
-    assert vec.values == (0.6, 0.8, 0.0, 0.0)
+    assert vec.values.tolist() == [0.6, 0.8, 0.0, 0.0]
     assert session.requests[0]["json"] == {"model": "embed-small", "input": "int x;"}
 
 
@@ -286,7 +307,7 @@ def unmemoised_embedding(text, dimension):
         index, sign = token_coordinate(token, dimension)
         accum[index] += sign
     norm = math.sqrt(sum(v * v for v in accum))
-    return tuple(v / norm for v in accum)
+    return [v / norm for v in accum]
 
 
 @given(st.lists(st.text(min_size=1).filter(lambda s: s.strip()), min_size=1, max_size=5))
@@ -298,7 +319,7 @@ def test_memoised_coordinates_match_unmemoised_bit_for_bit(codes):
             vec = backend.embed(item)
         except EmbeddingError:
             continue
-        assert vec.values == unmemoised_embedding(item.rendered_text(), 32)
+        assert vec.values.tolist() == unmemoised_embedding(item.rendered_text(), 32)
 
 
 def test_memo_never_leaks_across_dimensions():
@@ -313,3 +334,12 @@ def test_memo_never_leaks_across_dimensions():
             fresh = HashedBagOfTokensBackend(dimension=backend.dimension)
             for item in items:
                 assert backend.embed(item) == fresh.embed(item)
+
+
+def test_index_rows_match_unmemoised_embedding_bit_for_bit(synthetic_corpus):
+    backend = HashedBagOfTokensBackend(dimension=256)
+    index = build_index_from_corpus(synthetic_corpus, backend, include_labels=True)
+    assert index.ids.tolist() == [sample.id for sample in synthetic_corpus.train]
+    for row, sample in zip(index.matrix, synthetic_corpus.train):
+        item = EmbeddingInput(code=sample.code, labels=sample.truth)
+        assert row.tolist() == unmemoised_embedding(item.rendered_text(), 256)

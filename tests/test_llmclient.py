@@ -101,6 +101,32 @@ def test_cache_key_sensitive_to_every_field():
     )
 
 
+def test_cache_key_bytes_are_stable():
+    # Existing responses.sqlite3 files are keyed by these bytes.
+    assert request().cache_key() == (
+        "3a1d0dd69e34cae0ce670824801aa48120e7e8332de3553bb46ca343c6dbdfcb"
+    )
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_complete_computes_each_cache_key_once(tmp_path, monkeypatch, warm):
+    cache = ResponseCache(tmp_path / "cache")
+    requests = [request(prompt=f"p{i}") for i in range(5)]
+    if warm:
+        complete(requests, FixedProvider("CWE-119"), cache)
+    keyed = []
+    real_cache_key = CompletionRequest.cache_key
+
+    def counting_cache_key(self):
+        keyed.append(self.prompt)
+        return real_cache_key(self)
+
+    monkeypatch.setattr(CompletionRequest, "cache_key", counting_cache_key)
+    results = complete(requests, FixedProvider("CWE-119"), cache)
+    assert [r.cached for r in results] == [warm] * 5
+    assert keyed == [r.prompt for r in requests]
+
+
 def test_complete_uses_cache_on_second_call(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
     provider = FixedProvider("CWE-119")
@@ -119,7 +145,7 @@ def test_cache_round_trip_byte_fidelity(tmp_path):
     provider = FixedProvider(text)
     req = request()
     complete([req], provider, cache)
-    assert cache.get(req) == text
+    assert cache.get(req.cache_key()) == text
 
 
 @pytest.mark.parametrize(
@@ -146,12 +172,12 @@ def test_unreadable_cache_file_is_a_miss_and_rewritten(tmp_path, stored, value):
             (value, req.cache_key()),
         )
         raw.commit()
-    assert cache.get(req) is None
+    assert cache.get(req.cache_key()) is None
 
     provider = FixedProvider("CWE-476")
     (result,) = complete([req], provider, cache)
     assert (result.text, result.cached, provider.call_count) == ("CWE-476", False, 1)
-    assert cache.get(req) == "CWE-476"
+    assert cache.get(req.cache_key()) == "CWE-476"
     with closing(sqlite3.connect(cache.path)) as raw:
         assert raw.execute("SELECT typeof(response) FROM responses").fetchall() == [("text",)]
 
@@ -192,15 +218,15 @@ def test_locked_cache_database_raises_cache_error_after_busy_timeout(
 ):
     monkeypatch.setattr(llmclient, "_BUSY_TIMEOUT_S", 0.05)
     cache = ResponseCache(tmp_path / "cache")
-    cache.put(request(prompt="before"), "CWE-119")
+    cache.put(request(prompt="before").cache_key(), "CWE-119")
     with closing(sqlite3.connect(cache.path, isolation_level=None)) as other:
         other.execute("BEGIN EXCLUSIVE")
         with pytest.raises(CacheError, match="database is locked"):
-            cache.put(request(prompt="during"), "CWE-476")
+            cache.put(request(prompt="during").cache_key(), "CWE-476")
         other.execute("ROLLBACK")
-    cache.put(request(prompt="during"), "CWE-476")
-    assert cache.get(request(prompt="before")) == "CWE-119"
-    assert cache.get(request(prompt="during")) == "CWE-476"
+    cache.put(request(prompt="during").cache_key(), "CWE-476")
+    assert cache.get(request(prompt="before").cache_key()) == "CWE-119"
+    assert cache.get(request(prompt="during").cache_key()) == "CWE-476"
 
 
 class CrashesOnThirdMiss(_CountingProvider):
@@ -248,8 +274,8 @@ class ScriptedProvider(_CountingProvider):
 
 def test_mixed_batch_keeps_input_order(tmp_path):
     cache = ResponseCache(tmp_path / "cache")
-    cache.put(request(prompt="hit-a"), "CWE-119")
-    cache.put(request(prompt="hit-b"), "CWE-476")
+    cache.put(request(prompt="hit-a").cache_key(), "CWE-119")
+    cache.put(request(prompt="hit-b").cache_key(), "CWE-476")
     provider = ScriptedProvider(
         {"miss-a": "CWE-120", "refused": "refuse", "miss-b": "CWE-469"}
     )
@@ -269,8 +295,8 @@ def test_mixed_batch_keeps_input_order(tmp_path):
     ]
     # Both copies of "miss-a" miss: a batch is not de-duplicated.
     assert provider.call_count == 4
-    assert cache.get(request(prompt="refused")) is None
-    assert cache.get(request(prompt="miss-b")) == "CWE-469"
+    assert cache.get(request(prompt="refused").cache_key()) is None
+    assert cache.get(request(prompt="miss-b").cache_key()) == "CWE-469"
 
 
 def test_pool_is_sized_to_the_misses(tmp_path, monkeypatch):

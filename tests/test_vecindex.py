@@ -149,8 +149,30 @@ def test_save_load_round_trip(tmp_path):
     loaded = load_index(path)
     assert [e.sample_id for e in loaded] == ["a", "b"]
     for original, reloaded in zip(index, loaded):
-        assert reloaded.vector.values == original.vector.values
+        assert reloaded.vector == original.vector
         assert reloaded.truth == original.truth
+
+
+def test_save_load_save_gives_identical_bytes(tmp_path):
+    rng = random.Random(5)
+    index = build([entry(f"s{i:02d}", random_unit(rng, 16)) for i in range(30)])
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    save_index(index, first)
+    save_index(load_index(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_index_keeps_one_read_only_matrix():
+    index = build([entry("a", (1, 0)), entry("b", (0, 1)), entry("c", (1, 1))])
+    assert index.matrix.shape == (3, 2) and index.matrix.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        index.matrix[0, 0] = 0.0
+    for row, yielded in enumerate(index):
+        assert np.shares_memory(yielded.vector.values, index.matrix)
+        assert yielded.vector.values.tolist() == index.matrix[row].tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            yielded.vector.values[0] = 0.0
+    assert index.truths == (label_set(["CWE-119"]),) * 3
 
 
 def test_load_rejects_malformed(tmp_path):
