@@ -3,7 +3,11 @@
 A run evaluates each configured strategy at each shot count against every
 test sample, records one PredictionRecord per evaluation, aggregates metrics
 per (strategy, k) cell, and writes three artifacts atomically: a JSONL
-prediction log, a JSON report, and a CSV table.
+prediction log, a JSON report, and a CSV table. Each cell is planned,
+resolved, scored and written before the next starts: its records are appended
+to a hidden temp file in the output directory and then dropped, and the file
+is renamed to records.jsonl when the run ends, so a run never holds more than
+one cell's records.
 
 A prompted cell selects shots and renders one CompletionRequest per test
 sample on the calling thread, resolves them all with one llmclient.complete
@@ -19,6 +23,8 @@ perturb the payload.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -230,15 +236,19 @@ def build_index_from_corpus(
     """
     if not corpus.train:
         raise RunnerError("cannot build an index from an empty train split")
-    entries = []
-    for sample in corpus.train:
-        item = EmbeddingInput(
-            code=sample.code, labels=sample.truth if include_labels else None
+    entries = (
+        IndexEntry(
+            sample_id=sample.id,
+            vector=backend.embed(
+                EmbeddingInput(
+                    code=sample.code, labels=sample.truth if include_labels else None
+                )
+            ),
+            truth=sample.truth,
         )
-        entries.append(
-            IndexEntry(sample_id=sample.id, vector=backend.embed(item), truth=sample.truth)
-        )
-    return build(entries)
+        for sample in corpus.train
+    )
+    return build(entries, count=len(corpus.train))
 
 
 def _build_backend(config: ExperimentConfig):
@@ -336,18 +346,9 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
 
     if provider is None and any(s in PROMPT_STRATEGIES for s in config.strategies):
         provider = _build_provider(config, corpus)
-    cache = ResponseCache(config.cache_dir) if config.cache_dir else None
     calls_before = provider.call_count if provider is not None else 0
-
-    records: list[PredictionRecord] = []
     output_dir = Path(config.output_dir)
-
-    def checkpoint_and_raise(exc: Exception) -> None:
-        partial = output_dir / "records.partial.jsonl"
-        _write_records(records, partial)
-        raise StrictRunError(
-            f"provider failure under strict mode: {exc}", str(partial)
-        ) from exc
+    partial_path = output_dir / "records.partial.jsonl"
 
     def prompt_for(sample, strategy: Strategy, k: int) -> tuple:
         neighbor_ids = None
@@ -381,7 +382,9 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
         if config.strict:
             for result in results:
                 if isinstance(result, ProviderError):
-                    checkpoint_and_raise(result)
+                    raise StrictRunError(
+                        f"provider failure under strict mode: {result}", str(partial_path)
+                    ) from result
         return [
             prompted_record(sample, strategy, k, *prompted, result)
             for sample, prompted, result in zip(corpus.test, prompts, results)
@@ -421,22 +424,49 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
             similarities=tuple(n.similarity for n in neighbors),
         )
 
+    # The temp file holds exactly the finished cells: renamed to records.jsonl
+    # on success or to records.partial.jsonl on a strict abort, and removed on
+    # any other exception.
+    cells: list[CellReport] = []
+    output_dir.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=output_dir, prefix=".records.jsonl.", suffix=".tmp"
+    )
+    sink = os.fdopen(fd, "w", encoding="utf-8")
+    cache = None
     try:
-        for strategy in config.strategies:
-            ks = (0,) if strategy is Strategy.ZERO_SHOT else config.shot_counts
-            for k in ks:
-                if strategy is Strategy.RETRIEVAL_LABELING:
-                    cell_records = [
-                        evaluate_retrieval_labeling(sample, k) for sample in corpus.test
-                    ]
-                else:
-                    cell_records = evaluate_prompted_cell(strategy, k)
-                records.extend(cell_records)
+        with sink:
+            cache = ResponseCache(config.cache_dir) if config.cache_dir else None
+            for strategy in config.strategies:
+                ks = (0,) if strategy is Strategy.ZERO_SHOT else config.shot_counts
+                for k in ks:
+                    if strategy is Strategy.RETRIEVAL_LABELING:
+                        cell_records = [
+                            evaluate_retrieval_labeling(sample, k)
+                            for sample in corpus.test
+                        ]
+                    else:
+                        cell_records = evaluate_prompted_cell(strategy, k)
+                    sink.writelines(
+                        json.dumps(r.to_json_dict(), sort_keys=True) + "\n"
+                        for r in cell_records
+                    )
+                    sink.flush()
+                    cells.append(_score_cell(strategy, k, cell_records, samples_by_id))
+        os.replace(tmp_name, output_dir / "records.jsonl")
+    except StrictRunError:
+        os.replace(tmp_name, partial_path)
+        raise
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
     finally:
         if cache is not None:
             cache.close()
 
-    cells = cells_from_records(records, corpus)
     provider_calls = (
         provider.call_count - calls_before if provider is not None else 0
     )
@@ -445,7 +475,7 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
         template_id=config.template_id,
         shot_order=config.shot_order,
         config=config.to_json_dict(),
-        cells=cells,
+        cells=tuple(cells),
         provider_calls=provider_calls,
         metadata={
             "started_at": started_at,
@@ -454,15 +484,9 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
         },
     )
 
-    _write_records(records, output_dir / "records.jsonl")
     atomic_write_text(output_dir / "report.json", report.to_json() + "\n")
     atomic_write_text(output_dir / "report.csv", emit_table(report))
     return report
-
-
-def _write_records(records, path: Path) -> None:
-    lines = [json.dumps(r.to_json_dict(), sort_keys=True) for r in records]
-    atomic_write_text(path, "\n".join(lines) + "\n" if lines else "")
 
 
 def load_records(path: str | Path) -> list:
@@ -478,33 +502,30 @@ def load_records(path: str | Path) -> list:
 def cells_from_records(records, corpus: Corpus) -> tuple:
     """Compute per-cell metrics from a prediction log.
 
-    run() scores its report with this function, so recomputing from a saved
-    records.jsonl must reproduce the report's cells; this is the audit path
-    for checking that reports and records agree.
+    run() scores each cell with _score_cell, as this function does, so
+    recomputing from a saved records.jsonl must reproduce the report's cells;
+    this is the audit path for checking that reports and records agree.
     """
     samples_by_id = corpus.by_id()
     grouped: dict = {}
-    order: list = []
     for record in records:
-        key = (record.strategy, record.k)
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
-        grouped[key].append(record)
-    cells = []
-    for key in order:
-        cell_records = grouped[key]
-        pairs = [
-            LabeledPair(truth=samples_by_id[r.test_id].truth, pred=r.pred)
-            for r in cell_records
-        ]
-        failures = sum(1 for r in cell_records if r.error is not None)
-        cells.append(
-            CellReport(
-                strategy=key[0], k=key[1], metrics=metrics_report(pairs), failures=failures
-            )
-        )
-    return tuple(cells)
+        grouped.setdefault((record.strategy, record.k), []).append(record)
+    return tuple(
+        _score_cell(strategy, k, cell_records, samples_by_id)
+        for (strategy, k), cell_records in grouped.items()
+    )
+
+
+def _score_cell(strategy: Strategy, k: int, cell_records, samples_by_id) -> CellReport:
+    """Aggregate one (strategy, k) cell's records into its metrics."""
+    pairs = [
+        LabeledPair(truth=samples_by_id[r.test_id].truth, pred=r.pred)
+        for r in cell_records
+    ]
+    failures = sum(1 for r in cell_records if r.error is not None)
+    return CellReport(
+        strategy=strategy, k=k, metrics=metrics_report(pairs), failures=failures
+    )
 
 
 def _pct(value: float) -> str:

@@ -86,32 +86,44 @@ class VectorIndex:
         return self._truths
 
 
-def build(entries) -> VectorIndex:
+def build(entries, count: int | None = None) -> VectorIndex:
     """Validate entries (non-empty, unique ids, equal dims) and build an index.
 
-    The entries' vectors are stacked into the index matrix once; the index
-    keeps no reference to the entries themselves.
+    `count` is the number of entries; a caller streaming a generator passes
+    it, and a collection may leave it out. The matrix is allocated once, at
+    the first entry, and each entry's vector is copied into its row as the
+    entry arrives, so the index keeps no reference to the entries and a
+    generator never has more than one vector alive beside the matrix.
     """
-    entries = tuple(entries)
-    if not entries:
-        raise VecIndexError("cannot build an index from zero entries")
+    if count is None:
+        entries = tuple(entries)
+        count = len(entries)
+    ids: list[str] = []
+    truths: list[frozenset] = []
     seen: set[str] = set()
-    dim = entries[0].vector.dim
-    for entry in entries:
+    matrix = None
+    for row, entry in enumerate(entries):
+        if row >= count:
+            raise VecIndexError(f"more entries than the {count} announced")
+        if matrix is None:
+            matrix = np.empty((count, entry.vector.dim))
         if entry.sample_id in seen:
             raise VecIndexError(f"duplicate entry id {entry.sample_id!r}")
         seen.add(entry.sample_id)
-        if entry.vector.dim != dim:
+        if entry.vector.dim != matrix.shape[1]:
             raise VecIndexError(
-                f"entry {entry.sample_id!r} has dim {entry.vector.dim}, expected {dim}"
+                f"entry {entry.sample_id!r} has dim {entry.vector.dim}, "
+                f"expected {matrix.shape[1]}"
             )
-    matrix = np.stack([entry.vector.values for entry in entries])
+        matrix[row] = entry.vector.values
+        ids.append(entry.sample_id)
+        truths.append(entry.truth)
+    if matrix is None:
+        raise VecIndexError("cannot build an index from zero entries")
+    if len(ids) != count:
+        raise VecIndexError(f"got {len(ids)} entries, {count} announced")
     matrix.flags.writeable = False
-    return VectorIndex(
-        np.array([entry.sample_id for entry in entries]),
-        matrix,
-        tuple(entry.truth for entry in entries),
-    )
+    return VectorIndex(np.array(ids), matrix, tuple(truths))
 
 
 def top_k(index: VectorIndex, query: EmbeddingVector, k: int) -> list:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import types
 
 import pytest
@@ -10,7 +11,12 @@ from hypothesis import strategies as st
 
 from vulnprompt.corpus import CodeSample, Corpus
 from vulnprompt.embedding import EmbeddingInput
-from vulnprompt.labeling import LabelingError, parse_labels, retrieval_label
+from vulnprompt.labeling import (
+    LabelingError,
+    ParseOutcome,
+    parse_labels,
+    retrieval_label,
+)
 from vulnprompt.labels import ALL_LABELS, CweLabel, format_labels, label_set
 from vulnprompt.vecindex import Neighbor, top_k
 
@@ -76,6 +82,62 @@ def test_parse_format_round_trip_property(labels):
     outcome = parse_labels(format_labels(labels))
     assert outcome.labels == frozenset(labels)
     assert outcome.unknown_mentions == ()
+
+
+# Every character Python's `\s` matches; none lies above U+3000.
+WHITESPACE = [chr(c) for c in range(0x3001) if re.fullmatch(r"\s", chr(c))]
+IN_SCOPE_NUMBERS = {str(label.number) for label in CweLabel}
+
+
+# What comes before the number: "cwe" in any letter case, then no separator,
+# one whitespace character, "-" or "_".
+cwe_prefix = st.builds(
+    lambda cases, separator: "".join(
+        letter.upper() if upper else letter for letter, upper in zip("cwe", cases)
+    )
+    + separator,
+    st.tuples(st.booleans(), st.booleans(), st.booleans()),
+    st.sampled_from(["", "-", "_"]) | st.sampled_from(WHITESPACE),
+)
+
+
+# Prose around a mention: no "c" in any case, so it cannot start a mention
+# of its own, and a leading non-digit so it ends the mention's number.
+non_digit = st.characters().filter(lambda c: re.fullmatch(r"\d", c) is None)
+no_mention = st.text(st.characters(blacklist_characters="cC"))
+tail = st.one_of(
+    st.just(""),
+    st.tuples(non_digit.filter(lambda c: c not in "cC"), no_mention).map("".join),
+)
+
+
+@given(st.sampled_from(ALL_LABELS), cwe_prefix, no_mention, tail)
+def test_every_documented_spelling_parses_to_its_label(label, prefix, head, rest):
+    outcome = parse_labels(head + prefix + str(label.number) + rest)
+    assert outcome == ParseOutcome(
+        labels=frozenset({label}), unknown_mentions=(), empty_parse=False
+    )
+
+
+# Any other digit string, zero-padded in-scope numbers ("0119") among them.
+out_of_scope_number = st.one_of(
+    st.from_regex(r"[0-9]{1,6}", fullmatch=True).filter(
+        lambda n: n not in IN_SCOPE_NUMBERS
+    ),
+    st.builds(
+        lambda zeros, n: "0" * zeros + n,
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from(sorted(IN_SCOPE_NUMBERS)),
+    ),
+)
+
+
+@given(out_of_scope_number, cwe_prefix, no_mention, tail)
+def test_out_of_scope_number_is_an_unknown_mention(number, prefix, head, rest):
+    outcome = parse_labels(head + prefix + number + rest)
+    assert outcome == ParseOutcome(
+        labels=frozenset(), unknown_mentions=(number,), empty_parse=False
+    )
 
 
 def two_sample_corpus():

@@ -201,6 +201,108 @@ def test_strict_mode_aborts_with_checkpoint(small_corpus_path, tmp_path):
     assert not (out / "records.jsonl").exists()
 
 
+class ScriptedParrot(ParrotProvider):
+    """A parrot that runs `on_call(n)` before its n-th call, counting from 1."""
+
+    def __init__(self, on_call) -> None:
+        super().__init__()
+        self.on_call = on_call
+
+    def generate(self, request):
+        self.on_call(self.call_count + 1)
+        return super().generate(request)
+
+
+def temp_records_files(out):
+    return sorted(out.glob(".records.jsonl.*.tmp"))
+
+
+def test_records_stream_cell_by_cell(small_corpus_path, small_corpus, tmp_path):
+    out = tmp_path / "out"
+    n_test = len(small_corpus.test)
+    seen = []
+
+    def peek(call):
+        # The first call of the second prompted cell.
+        if call == n_test + 1:
+            (tmp,) = temp_records_files(out)
+            seen.append(tmp.read_bytes())
+
+    config = make_config(
+        small_corpus_path,
+        out,
+        strategies=(Strategy.RETRIEVAL_FEW_SHOT,),
+        shot_counts=(1, 2, 3),
+    )
+    run(config, provider=ScriptedParrot(peek))
+    lines = (out / "records.jsonl").read_bytes().splitlines(keepends=True)
+    assert len(lines) == 3 * n_test
+    assert seen == [b"".join(lines[:n_test])]
+    assert temp_records_files(out) == []
+
+
+def test_unexpected_error_removes_temp_records(small_corpus_path, small_corpus, tmp_path):
+    out = tmp_path / "out"
+    boom = RuntimeError("provider crashed")
+
+    def crash(call):
+        if call == len(small_corpus.test) + 1:
+            raise boom
+
+    config = make_config(small_corpus_path, out, shot_counts=(1, 2))
+    with pytest.raises(RuntimeError) as excinfo:
+        run(config, provider=ScriptedParrot(crash))
+    assert excinfo.value is boom
+    assert not (out / "records.jsonl").exists()
+    assert not (out / "records.partial.jsonl").exists()
+    assert temp_records_files(out) == []
+
+
+def test_strict_checkpoint_is_the_leading_lines_of_a_full_run(
+    small_corpus_path, small_corpus, tmp_path
+):
+    n_test = len(small_corpus.test)
+    strategies = (Strategy.RETRIEVAL_LABELING, Strategy.RETRIEVAL_FEW_SHOT)
+    full_out = tmp_path / "full"
+    run(
+        make_config(small_corpus_path, full_out, strategies=strategies, shot_counts=(1, 2, 3)),
+        provider=ParrotProvider(),
+    )
+
+    def refuse(call):
+        # The first call of the second retrieval_few_shot cell.
+        if call == n_test + 1:
+            raise llmclient.ProviderRefusalError("declined")
+
+    out = tmp_path / "strict"
+    config = make_config(
+        small_corpus_path, out, strategies=strategies, shot_counts=(1, 2, 3), strict=True
+    )
+    with pytest.raises(StrictRunError) as excinfo:
+        run(config, provider=ScriptedParrot(refuse))
+    assert excinfo.value.partial_records_path == str(out / "records.partial.jsonl")
+    # Finished: retrieval_labeling at k=1, 2, 3 and retrieval_few_shot at k=1.
+    full_lines = (full_out / "records.jsonl").read_bytes().splitlines(keepends=True)
+    assert (out / "records.partial.jsonl").read_bytes() == b"".join(
+        full_lines[: 4 * n_test]
+    )
+    assert not (out / "records.jsonl").exists()
+    assert temp_records_files(out) == []
+
+
+def test_strict_failure_in_the_first_cell_leaves_an_empty_checkpoint(
+    small_corpus_path, tmp_path
+):
+    out = tmp_path / "out"
+    config = make_config(
+        small_corpus_path, out, strategies=(Strategy.ZERO_SHOT,), strict=True
+    )
+    with pytest.raises(StrictRunError):
+        run(config, provider=ParrotProvider())
+    assert (out / "records.partial.jsonl").read_bytes() == b""
+    assert temp_records_files(out) == []
+
+
 def test_artifacts_written_and_recomputable(small_corpus_path, tmp_path):
     out = tmp_path / "out"
     config = make_config(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_top_k
-from vulnprompt.embedding import EmbeddingVector
+from vulnprompt.embedding import EmbeddingInput, EmbeddingVector, HashedBagOfTokensBackend
 from vulnprompt.labels import label_set
+from vulnprompt.runner import build_index_from_corpus
+from vulnprompt.synthetic import make_synthetic_corpus
 from vulnprompt.vecindex import (
     IndexEntry,
     VecIndexError,
@@ -61,6 +64,52 @@ def test_build_rejects_duplicate_ids():
 def test_build_rejects_dimension_mismatch():
     with pytest.raises(VecIndexError, match="dim"):
         build([entry("a", (1, 0)), entry("b", (0, 1, 0))])
+
+
+@pytest.mark.parametrize(
+    "entries, error",
+    [
+        ([], "zero entries"),
+        ([entry("a", (1, 0)), entry("a", (0, 1))], "duplicate"),
+        ([entry("a", (1, 0)), entry("b", (0, 1, 0))], "dim"),
+    ],
+    ids=["empty", "duplicate", "dimension"],
+)
+@pytest.mark.parametrize("counted", [False, True], ids=["uncounted", "counted"])
+def test_build_from_a_generator_rejects_bad_entries(entries, error, counted):
+    count = len(entries) if counted else None
+    with pytest.raises(VecIndexError, match=error):
+        build((e for e in entries), count=count)
+
+
+def test_build_rejects_a_count_that_does_not_match():
+    entries = [entry("a", (1, 0)), entry("b", (0, 1))]
+    with pytest.raises(VecIndexError, match="more entries"):
+        build(iter(entries), count=1)
+    with pytest.raises(VecIndexError, match="announced"):
+        build(iter(entries), count=3)
+
+
+def test_corpus_index_build_holds_one_copy_of_the_vectors():
+    corpus = make_synthetic_corpus(seed=3, n_per_label=200)
+    backend = HashedBagOfTokensBackend(dimension=256)
+    build_index_from_corpus(corpus, backend)  # warms the token memo
+    tracemalloc.start()
+    try:
+        index = build_index_from_corpus(corpus, backend)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * index.matrix.nbytes
+    expected = np.stack(
+        [
+            backend.embed(EmbeddingInput(code=s.code, labels=s.truth)).values
+            for s in corpus.train
+        ]
+    )
+    assert index.matrix.tobytes() == expected.tobytes()
+    assert index.ids.tolist() == [s.id for s in corpus.train]
+    assert index.truths == tuple(s.truth for s in corpus.train)
 
 
 def test_top_k_hand_example():
