@@ -28,7 +28,7 @@ from .llmclient import (
     oracle_for_corpus,
 )
 from .metrics import LabeledPair, MetricsReport, report
-from .prompting import PromptSpec, Shot, ShotOrder, Strategy, render, select_random
+from .prompting import ShotOrder, Strategy, render, select_random
 from .runner import (
     PredictionRecord,
     RunReport,
@@ -69,14 +69,12 @@ __all__ = [
     "ParrotProvider",
     "ParseOutcome",
     "PredictionRecord",
-    "PromptSpec",
     "ProviderSettings",
     "RemoteChatProvider",
     "RemoteEmbeddingBackend",
     "ResponseCache",
     "RunReport",
     "RunnerError",
-    "Shot",
     "ShotOrder",
     "Strategy",
     "StrictRunError",

@@ -105,6 +105,12 @@ class ExperimentConfig:
             raise ConfigError("shot counts must be unique")
         if list(self.shot_counts) != sorted(self.shot_counts):
             raise ConfigError("shot counts must be ascending")
+        # The field is echoed into every report; it names the one template
+        # that prompting renders, so any other value would mislabel the run.
+        if self.template_id != TEMPLATE_ID:
+            raise ConfigError(
+                f"unknown template_id {self.template_id!r}; only {TEMPLATE_ID!r} exists"
+            )
 
     def to_json_dict(self) -> dict:
         data = asdict(self)
@@ -118,6 +124,23 @@ def _check_keys(section: str, data: dict, allowed) -> None:
     unknown = set(data) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown {section} key(s): {', '.join(sorted(unknown))}")
+
+
+def _section(name: str, data, cls):
+    """Build a settings dataclass from one config section, rejecting bad keys."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{name} must be a mapping, got {type(data).__name__}")
+    _check_keys(name, data, {f.name for f in fields(cls)})
+    try:
+        return cls(**data)
+    except TypeError as exc:
+        raise ConfigError(f"invalid {name} settings: {exc}") from None
+
+
+def _sequence(name: str, value) -> tuple:
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list, got {type(value).__name__}")
+    return tuple(value)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -137,26 +160,22 @@ def load_config(path: str | Path) -> ExperimentConfig:
     kwargs = dict(raw)
     if "strategies" in kwargs:
         try:
-            kwargs["strategies"] = tuple(Strategy(s) for s in kwargs["strategies"])
+            kwargs["strategies"] = tuple(
+                Strategy(s) for s in _sequence("strategies", kwargs["strategies"])
+            )
         except ValueError as exc:
             raise ConfigError(f"unknown strategy: {exc}") from None
     if "shot_counts" in kwargs:
-        kwargs["shot_counts"] = tuple(kwargs["shot_counts"])
+        kwargs["shot_counts"] = _sequence("shot_counts", kwargs["shot_counts"])
     if "shot_order" in kwargs:
         try:
             kwargs["shot_order"] = ShotOrder(kwargs["shot_order"])
         except ValueError:
             raise ConfigError(f"unknown shot_order {kwargs['shot_order']!r}") from None
     if "embedding" in kwargs:
-        _check_keys(
-            "embedding", kwargs["embedding"], {f.name for f in fields(EmbeddingSettings)}
-        )
-        kwargs["embedding"] = EmbeddingSettings(**kwargs["embedding"])
+        kwargs["embedding"] = _section("embedding", kwargs["embedding"], EmbeddingSettings)
     if "provider" in kwargs:
-        _check_keys(
-            "provider", kwargs["provider"], {f.name for f in fields(ProviderSettings)}
-        )
-        kwargs["provider"] = ProviderSettings(**kwargs["provider"])
+        kwargs["provider"] = _section("provider", kwargs["provider"], ProviderSettings)
 
     try:
         return ExperimentConfig(**kwargs)

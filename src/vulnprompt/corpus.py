@@ -103,6 +103,8 @@ def ingest(path: str | Path) -> Corpus:
     dropped_out_of_scope_only = 0
     out_of_scope: Counter = Counter()
 
+    if Path(path).is_dir():
+        raise IngestError(f"corpus path {path} is a directory, not a JSONL file")
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():

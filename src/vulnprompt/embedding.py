@@ -162,7 +162,10 @@ class HashedBagOfTokensBackend:
         norm = math.sqrt(float(accum @ accum))
         if norm == 0.0:
             raise EmbeddingError("token contributions cancelled to a zero vector")
-        return EmbeddingVector(values=accum / norm)
+        values = accum / norm
+        # Read-only float64, so EmbeddingVector keeps it instead of copying.
+        values.flags.writeable = False
+        return EmbeddingVector(values=values)
 
 
 class RemoteEmbeddingBackend:

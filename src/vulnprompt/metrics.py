@@ -1,18 +1,21 @@
 """Multi-label evaluation metrics over a fixed four-label space.
 
 Six headline numbers: subset accuracy (exact set match), Hamming accuracy
-(per-label agreement), partial match accuracy (per-instance Jaccard), and
-micro-averaged precision, recall, and F1. One supplementary ratio, partial
-match against truth size, is reported alongside because per-instance overlap
-can be normalized two ways and downstream consumers may want either.
+(one minus the per-label disagreement rate over all N * 4 slots), partial
+match accuracy (mean per-instance Jaccard |pred & truth| / |pred | truth|),
+and micro-averaged precision, recall, and F1. One supplementary ratio, partial
+match against truth size (mean |pred & truth| / |truth|), is reported
+alongside because per-instance overlap can be normalized two ways and
+downstream consumers may want either. An instance whose truth is empty scores
+1.0 on both overlaps when its prediction is empty too, else 0.0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .labels import ALL_LABELS, CweLabel
+from .labels import CweLabel
 
 N_LABELS = 4
 
@@ -36,16 +39,6 @@ class LabeledPair:
 
 
 @dataclass(frozen=True)
-class ConfusionCounts:
-    """Micro-averaged confusion cells pooled over all instances and labels."""
-
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-
-
-@dataclass(frozen=True)
 class MetricsReport:
     """All metrics for one evaluation cell, as plain floats in [0, 1]."""
 
@@ -64,114 +57,54 @@ class MetricsReport:
     partial_match_vs_truth: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_instances": self.n_instances,
-            "n_labels": self.n_labels,
-            "subset_accuracy": self.subset_accuracy,
-            "hamming_accuracy": self.hamming_accuracy,
-            "partial_match_accuracy": self.partial_match_accuracy,
-            "micro_precision": self.micro_precision,
-            "micro_recall": self.micro_recall,
-            "micro_f1": self.micro_f1,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "tn": self.tn,
-            "partial_match_vs_truth": self.partial_match_vs_truth,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MetricsReport":
         return cls(**{k: data[k] for k in cls.__dataclass_fields__})
 
 
-def _require_pairs(pairs) -> list:
-    pairs = list(pairs)
-    if not pairs:
-        raise MetricsError("metrics need at least one pair")
-    return pairs
+def report(pairs) -> MetricsReport:
+    """Compute every metric over one list of pairs in a single pass.
 
-
-def subset_accuracy(pairs) -> float:
-    """Fraction of instances whose prediction equals the truth exactly."""
-    pairs = _require_pairs(pairs)
-    exact = sum(1 for p in pairs if p.pred == p.truth)
-    return exact / len(pairs)
-
-
-def hamming_accuracy(pairs) -> float:
-    """One minus the per-label disagreement rate over all N * 4 cells."""
-    pairs = _require_pairs(pairs)
-    disagreements = sum(len(p.pred ^ p.truth) for p in pairs)
-    return 1.0 - disagreements / (len(pairs) * N_LABELS)
-
-
-def _jaccard(p: LabeledPair) -> float:
-    union = p.pred | p.truth
-    if not union:
-        return 1.0
-    return len(p.pred & p.truth) / len(union)
-
-
-def partial_match_accuracy(pairs) -> float:
-    """Mean per-instance Jaccard overlap |pred & truth| / |pred | truth|.
-
-    An instance with empty prediction and empty truth counts as a full
-    match. fsum keeps the mean invariant under pair reordering.
-    """
-    pairs = _require_pairs(pairs)
-    return math.fsum(_jaccard(p) for p in pairs) / len(pairs)
-
-
-def _truth_overlap(p: LabeledPair) -> float:
-    if not p.truth:
-        return 1.0 if not p.pred else 0.0
-    return len(p.pred & p.truth) / len(p.truth)
-
-
-def partial_match_vs_truth(pairs) -> float:
-    """Mean per-instance overlap normalized by truth size |pred & truth| / |truth|.
-
-    An instance with empty truth scores 1.0 when the prediction is also
-    empty, else 0.0.
-    """
-    pairs = _require_pairs(pairs)
-    return math.fsum(_truth_overlap(p) for p in pairs) / len(pairs)
-
-
-def micro_prf(pairs) -> tuple:
-    """Micro precision, recall, F1, and the pooled confusion counts.
-
-    Zero denominators yield 0.0 rather than an error, so degenerate cells
+    Exact matches, per-label disagreements and the pooled confusion cells are
+    integer counts. The two per-instance overlaps are summed with fsum, which
+    keeps each mean invariant under pair reordering. Zero denominators in the
+    micro averages yield 0.0 rather than an error, so degenerate cells
     (nothing predicted, or nothing true) still produce a report.
     """
-    pairs = _require_pairs(pairs)
-    tp = sum(len(p.pred & p.truth) for p in pairs)
-    fp = sum(len(p.pred - p.truth) for p in pairs)
-    fn = sum(len(p.truth - p.pred) for p in pairs)
-    tn = len(pairs) * N_LABELS - tp - fp - fn
+    exact = disagreements = tp = fp = fn = 0
+    jaccards = []
+    truth_overlaps = []
+    for p in pairs:
+        hits = len(p.pred & p.truth)
+        union = len(p.pred | p.truth)
+        exact += p.pred == p.truth
+        disagreements += union - hits
+        tp += hits
+        fp += len(p.pred) - hits
+        fn += len(p.truth) - hits
+        # Empty prediction against empty truth is a full match in both ratios.
+        jaccards.append(hits / union if union else 1.0)
+        truth_overlaps.append(hits / len(p.truth) if p.truth else (0.0 if p.pred else 1.0))
+    n = len(jaccards)
+    if not n:
+        raise MetricsError("metrics need at least one pair")
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1, ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
-
-
-def report(pairs) -> MetricsReport:
-    """Compute every metric over one list of pairs."""
-    pairs = _require_pairs(pairs)
-    precision, recall, f1, counts = micro_prf(pairs)
     return MetricsReport(
-        n_instances=len(pairs),
+        n_instances=n,
         n_labels=N_LABELS,
-        subset_accuracy=subset_accuracy(pairs),
-        hamming_accuracy=hamming_accuracy(pairs),
-        partial_match_accuracy=partial_match_accuracy(pairs),
+        subset_accuracy=exact / n,
+        hamming_accuracy=1.0 - disagreements / (n * N_LABELS),
+        partial_match_accuracy=math.fsum(jaccards) / n,
         micro_precision=precision,
         micro_recall=recall,
         micro_f1=f1,
-        tp=counts.tp,
-        fp=counts.fp,
-        fn=counts.fn,
-        tn=counts.tn,
-        partial_match_vs_truth=partial_match_vs_truth(pairs),
+        tp=tp,
+        fp=fp,
+        fn=fn,
+        tn=n * N_LABELS - tp - fp - fn,
+        partial_match_vs_truth=math.fsum(truth_overlaps) / n,
     )

@@ -14,9 +14,8 @@ import enum
 import hashlib
 import random
 import re
-from dataclasses import dataclass
 
-from .labels import CweLabel, format_labels
+from .labels import format_labels
 
 TEMPLATE_ID = "cwe-fewshot-template/v1"
 
@@ -39,43 +38,7 @@ class ShotOrder(str, enum.Enum):
 
 
 class PromptError(ValueError):
-    """Raised when a prompt spec or shot selection is invalid."""
-
-
-@dataclass(frozen=True)
-class Shot:
-    """One in-context example: a code snippet and its label set."""
-
-    code: str
-    labels: frozenset
-
-    def __post_init__(self) -> None:
-        if not self.code.strip():
-            raise PromptError("shot code must be non-empty")
-        if not self.labels:
-            raise PromptError("shot labels must be non-empty")
-
-
-@dataclass(frozen=True)
-class PromptSpec:
-    """Everything needed to render one prompt deterministically."""
-
-    strategy: Strategy
-    k: int
-    shots: tuple
-    test_code: str
-
-    def __post_init__(self) -> None:
-        if self.strategy not in PROMPT_STRATEGIES:
-            raise PromptError(f"strategy {self.strategy} does not build prompts")
-        if self.strategy is Strategy.ZERO_SHOT and self.k != 0:
-            raise PromptError(f"zero_shot requires k=0, got {self.k}")
-        if self.strategy is not Strategy.ZERO_SHOT and self.k < 1:
-            raise PromptError(f"{self.strategy.value} requires k >= 1, got {self.k}")
-        if len(self.shots) != self.k:
-            raise PromptError(f"expected {self.k} shots, got {len(self.shots)}")
-        if not self.test_code.strip():
-            raise PromptError("test code must be non-empty")
+    """Raised when a shot selection is invalid."""
 
 
 _PREAMBLE = (
@@ -103,7 +66,7 @@ def select_random(pool, k: int, seed: int, test_id: str) -> tuple:
     digest = hashlib.blake2b(f"{seed}:{test_id}".encode("utf-8"), digest_size=8).digest()
     rng = random.Random(int.from_bytes(digest, "big"))
     picks = rng.sample(range(len(pool)), k)
-    return tuple(Shot(code=pool[i].code, labels=pool[i].truth) for i in picks)
+    return tuple(pool[i] for i in picks)
 
 
 def shots_from_neighbors(neighbors, samples_by_id, order: ShotOrder) -> tuple:
@@ -114,21 +77,22 @@ def shots_from_neighbors(neighbors, samples_by_id, order: ShotOrder) -> tuple:
         raise PromptError(f"neighbor id {exc.args[0]!r} not found in corpus") from None
     if order is ShotOrder.SIMILAR_LAST:
         samples = samples[::-1]
-    return tuple(Shot(code=s.code, labels=s.truth) for s in samples)
+    return tuple(samples)
 
 
-def render(spec: PromptSpec) -> str:
+def render(shots, test_code: str) -> str:
     """Render a prompt: preamble, shot blocks, then the unlabeled test block.
 
+    Each shot is a train CodeSample, shown with its code and truth labels.
     The prompt always ends with "Vulnerabilities:" so the model's completion
     is exactly the label list.
     """
     blocks = [_PREAMBLE]
-    for shot in spec.shots:
+    for shot in shots:
         blocks.append(
-            f"Code:\n{shot.code}\nVulnerabilities: {format_labels(shot.labels)}\n"
+            f"Code:\n{shot.code}\nVulnerabilities: {format_labels(shot.truth)}\n"
         )
-    blocks.append(f"Code:\n{spec.test_code}\nVulnerabilities:")
+    blocks.append(f"Code:\n{test_code}\nVulnerabilities:")
     return "\n".join(blocks)
 
 

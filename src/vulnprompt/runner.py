@@ -3,17 +3,21 @@
 A run evaluates each configured strategy at each shot count against every
 test sample, records one PredictionRecord per evaluation, aggregates metrics
 per (strategy, k) cell, and writes three artifacts atomically: a JSONL
-prediction log, a JSON report, and a CSV table. Each cell is planned,
-resolved, scored and written before the next starts: its records are appended
-to a hidden temp file in the output directory and then dropped, and the file
-is renamed to records.jsonl when the run ends, so a run never holds more than
-one cell's records.
+prediction log, a JSON report, and a CSV table.
 
-A prompted cell selects shots and renders one CompletionRequest per test
-sample on the calling thread, resolves them all with one llmclient.complete
-call, then parses the replies into records in test-split order. The provider
-decides how its cache misses run: the in-process mocks answer inline, and the
-remote provider keeps at most its max_in_flight requests outstanding.
+Every cell, whatever its strategy, takes one path. Plan: each test sample
+gets its neighbours (retrieval strategies) and its shots, rendered into a
+prompt unless the cell labels by retrieval. Resolve: the prompts go to one
+llmclient.complete call, or retrieval labeling unions the neighbours' labels.
+Score and write: one constructor turns each sample's plan and result into a
+record, in test-split order; the records are appended to a hidden temp file
+in the output directory, scored, and dropped before the next cell starts. The
+file is renamed to records.jsonl when the run ends, so a run never holds more
+than one cell's records.
+
+The provider decides how its cache misses run: the in-process mocks answer
+inline, and the remote provider keeps at most its max_in_flight requests
+outstanding.
 
 Given a mock provider, a fixed seed, and a warm cache, reruns are
 byte-identical; timestamps live in a separate metadata block so they never
@@ -49,7 +53,6 @@ from .metrics import LabeledPair, MetricsReport
 from .metrics import report as metrics_report
 from .prompting import (
     PROMPT_STRATEGIES,
-    PromptSpec,
     ShotOrder,
     Strategy,
     prompt_hash,
@@ -71,6 +74,8 @@ TABLE_COLUMNS = (
     "partial_match_vs_truth",
     "failures",
 )
+
+RETRIEVAL_STRATEGIES = frozenset({Strategy.RETRIEVAL_FEW_SHOT, Strategy.RETRIEVAL_LABELING})
 
 CURVE_METRICS = (
     "subset_accuracy",
@@ -285,6 +290,52 @@ def _build_provider(config: ExperimentConfig, corpus: Corpus):
     return FixedProvider(settings.fixed_text)
 
 
+def _load_checked_index(path, dimension: int, samples_by_id) -> VectorIndex:
+    """Load a saved index and check it against the run's embedding and corpus."""
+    index = load_index(path)
+    if index.dimension != dimension:
+        raise RunnerError(
+            f"index dim {index.dimension} does not match embedding dim {dimension}"
+        )
+    ids = index.ids.tolist()
+    missing = [i for i in ids if i not in samples_by_id]
+    if missing:
+        raise RunnerError(f"index contains ids not in the corpus: {missing[:5]}")
+    relabelled = [
+        i for i, truth in zip(ids, index.truths) if truth != samples_by_id[i].truth
+    ]
+    if relabelled:
+        raise RunnerError(
+            f"index labels differ from the corpus truth for ids: {relabelled[:5]}"
+        )
+    return index
+
+
+def _record(test_id, strategy, k, neighbors, prompt, result) -> PredictionRecord:
+    """Build one record from a planned sample and what resolved it.
+
+    `result` is a label set for retrieval labeling (which has no prompt), and
+    a CompletionResult or a ProviderError for the prompt strategies.
+    """
+    fields = dict(test_id=test_id, strategy=strategy, k=k)
+    if neighbors is not None:
+        fields["neighbor_ids"] = tuple(n.sample_id for n in neighbors)
+        fields["similarities"] = tuple(n.similarity for n in neighbors)
+    if prompt is None:
+        return PredictionRecord(pred=result, **fields)
+    fields["prompt_hash"] = prompt_hash(prompt)
+    if isinstance(result, ProviderError):
+        return PredictionRecord(pred=frozenset(), error=str(result), **fields)
+    outcome = parse_labels(result.text)
+    return PredictionRecord(
+        pred=outcome.labels,
+        raw_text=result.text,
+        parsed=outcome,
+        cached=result.cached,
+        **fields,
+    )
+
+
 def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunReport:
     """Execute the full sweep and write records.jsonl, report.json, report.csv.
 
@@ -305,37 +356,15 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
         )
 
     samples_by_id = corpus.by_id()
-    needs_retrieval = (
-        Strategy.RETRIEVAL_FEW_SHOT in config.strategies
-        or Strategy.RETRIEVAL_LABELING in config.strategies
-    )
     backend = embed_backend if embed_backend is not None else _build_backend(config)
 
     # Each test query is ranked once, at the largest shot count; every
     # retrieval cell takes a prefix of that ranking, which top_k guarantees
     # equals a direct top_k call at the smaller k.
     rankings: dict = {}
-    if needs_retrieval:
+    if not RETRIEVAL_STRATEGIES.isdisjoint(config.strategies):
         if config.index_path:
-            index = load_index(config.index_path)
-            if index.dimension != backend.dimension:
-                raise RunnerError(
-                    f"index dim {index.dimension} does not match embedding dim "
-                    f"{backend.dimension}"
-                )
-            ids = index.ids.tolist()
-            missing = [i for i in ids if i not in samples_by_id]
-            if missing:
-                raise RunnerError(
-                    f"index contains ids not in the corpus: {missing[:5]}"
-                )
-            relabelled = [
-                i for i, truth in zip(ids, index.truths) if truth != samples_by_id[i].truth
-            ]
-            if relabelled:
-                raise RunnerError(
-                    f"index labels differ from the corpus truth for ids: {relabelled[:5]}"
-                )
+            index = _load_checked_index(config.index_path, backend.dimension, samples_by_id)
         else:
             index = build_index_from_corpus(
                 corpus, backend, include_labels=config.include_labels_in_index
@@ -344,31 +373,29 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
             query = backend.embed(EmbeddingInput(code=sample.code))
             rankings[sample.id] = top_k(index, query, max_k)
 
-    if provider is None and any(s in PROMPT_STRATEGIES for s in config.strategies):
+    if provider is None and not PROMPT_STRATEGIES.isdisjoint(config.strategies):
         provider = _build_provider(config, corpus)
     calls_before = provider.call_count if provider is not None else 0
     output_dir = Path(config.output_dir)
     partial_path = output_dir / "records.partial.jsonl"
 
-    def prompt_for(sample, strategy: Strategy, k: int) -> tuple:
-        neighbor_ids = None
-        similarities = None
+    def plan(sample, strategy: Strategy, k: int) -> tuple:
+        """One test sample's neighbours and, unless it labels by retrieval, prompt."""
+        neighbors = rankings[sample.id][:k] if strategy in RETRIEVAL_STRATEGIES else None
+        if strategy is Strategy.RETRIEVAL_LABELING:
+            return neighbors, None
         if strategy is Strategy.ZERO_SHOT:
             shots = ()
         elif strategy is Strategy.RANDOM_FEW_SHOT:
             shots = select_random(corpus.train, k, config.seed, sample.id)
         else:
-            neighbors = rankings[sample.id][:k]
-            neighbor_ids = tuple(n.sample_id for n in neighbors)
-            similarities = tuple(n.similarity for n in neighbors)
             shots = shots_from_neighbors(neighbors, samples_by_id, config.shot_order)
-        spec = PromptSpec(
-            strategy=strategy, k=len(shots), shots=shots, test_code=sample.code
-        )
-        return neighbor_ids, similarities, render(spec)
+        return neighbors, render(shots, sample.code)
 
-    def evaluate_prompted_cell(strategy: Strategy, k: int) -> list:
-        prompts = [prompt_for(sample, strategy, k) for sample in corpus.test]
+    def resolve(strategy: Strategy, plans) -> list:
+        """Label every planned sample of one cell, in test-split order."""
+        if strategy is Strategy.RETRIEVAL_LABELING:
+            return [retrieval_label(neighbors, samples_by_id) for neighbors, _ in plans]
         requests = [
             CompletionRequest(
                 model_id=config.provider.model_id,
@@ -376,59 +403,26 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
                 temperature=config.provider.temperature,
                 max_output_tokens=config.provider.max_output_tokens,
             )
-            for _, _, prompt in prompts
+            for _, prompt in plans
         ]
         results = complete(requests, provider, cache)
-        if config.strict:
-            for result in results:
-                if isinstance(result, ProviderError):
-                    raise StrictRunError(
-                        f"provider failure under strict mode: {result}", str(partial_path)
-                    ) from result
-        return [
-            prompted_record(sample, strategy, k, *prompted, result)
-            for sample, prompted, result in zip(corpus.test, prompts, results)
-        ]
-
-    def prompted_record(
-        sample, strategy, k, neighbor_ids, similarities, prompt, result
-    ) -> PredictionRecord:
-        common = dict(
-            test_id=sample.id,
-            strategy=strategy,
-            k=k,
-            neighbor_ids=neighbor_ids,
-            similarities=similarities,
-            prompt_hash=prompt_hash(prompt),
-        )
-        if isinstance(result, ProviderError):
-            return PredictionRecord(pred=frozenset(), error=str(result), **common)
-        outcome = parse_labels(result.text)
-        return PredictionRecord(
-            pred=outcome.labels,
-            raw_text=result.text,
-            parsed=outcome,
-            cached=result.cached,
-            **common,
-        )
-
-    def evaluate_retrieval_labeling(sample, k: int) -> PredictionRecord:
-        neighbors = rankings[sample.id][:k]
-        pred = retrieval_label(neighbors, samples_by_id)
-        return PredictionRecord(
-            test_id=sample.id,
-            strategy=Strategy.RETRIEVAL_LABELING,
-            k=k,
-            pred=pred,
-            neighbor_ids=tuple(n.sample_id for n in neighbors),
-            similarities=tuple(n.similarity for n in neighbors),
-        )
+        failure = next((r for r in results if isinstance(r, ProviderError)), None)
+        if config.strict and failure is not None:
+            raise StrictRunError(
+                f"provider failure under strict mode: {failure}", str(partial_path)
+            ) from failure
+        return results
 
     # The temp file holds exactly the finished cells: renamed to records.jsonl
     # on success or to records.partial.jsonl on a strict abort, and removed on
     # any other exception.
     cells: list[CellReport] = []
-    output_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise RunnerError(
+            f"output_dir {output_dir} is not a usable directory: {exc}"
+        ) from None
     fd, tmp_name = tempfile.mkstemp(
         dir=output_dir, prefix=".records.jsonl.", suffix=".tmp"
     )
@@ -440,13 +434,12 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
             for strategy in config.strategies:
                 ks = (0,) if strategy is Strategy.ZERO_SHOT else config.shot_counts
                 for k in ks:
-                    if strategy is Strategy.RETRIEVAL_LABELING:
-                        cell_records = [
-                            evaluate_retrieval_labeling(sample, k)
-                            for sample in corpus.test
-                        ]
-                    else:
-                        cell_records = evaluate_prompted_cell(strategy, k)
+                    plans = [plan(sample, strategy, k) for sample in corpus.test]
+                    results = resolve(strategy, plans)
+                    cell_records = [
+                        _record(sample.id, strategy, k, *planned, result)
+                        for sample, planned, result in zip(corpus.test, plans, results)
+                    ]
                     sink.writelines(
                         json.dumps(r.to_json_dict(), sort_keys=True) + "\n"
                         for r in cell_records

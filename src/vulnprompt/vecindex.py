@@ -170,6 +170,8 @@ def save_index(index: VectorIndex, path: str | Path) -> None:
 
 def load_index(path: str | Path) -> VectorIndex:
     """Load a JSONL index file written by save_index."""
+    if Path(path).is_dir():
+        raise VecIndexError(f"index path {path} is a directory, not a JSONL file")
     entries: list[IndexEntry] = []
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):

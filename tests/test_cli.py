@@ -238,6 +238,17 @@ def test_cache_root_that_is_a_file_exits_3(workdir, capsys):
     assert "not a directory" in capsys.readouterr().err
 
 
+def run_cli(*args):
+    src = str(Path(vulnprompt.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "vulnprompt.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=False,
+    )
+
+
 @pytest.mark.parametrize(
     "damage",
     [lambda data: data[: len(data) // 2], lambda data: b"not a database " * 400],
@@ -250,14 +261,7 @@ def test_run_with_damaged_cache_database_exits_3(workdir, damage):
     database = cache_dir / CACHE_FILENAME
     database.write_bytes(damage(database.read_bytes()))
 
-    src = str(Path(vulnprompt.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "vulnprompt.cli", "run", "--config", str(config_path)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        check=False,
-    )
+    proc = run_cli("run", "--config", str(config_path))
     assert proc.returncode == EXIT_DATA
     assert f"unusable cache database {database}" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -273,6 +277,39 @@ def test_run_with_old_layout_cache_dir_exits_3(workdir, capsys):
     assert f"cache root {cache_dir} holds *.json entries" in err
     assert "use a new cache_dir or delete those files" in err
     assert not (cache_dir / CACHE_FILENAME).exists()
+
+
+def test_malformed_config_section_exits_1_without_traceback(workdir):
+    config_path = write_config(workdir, embedding=None)
+    proc = run_cli("run", "--config", str(config_path))
+    assert proc.returncode == EXIT_USAGE
+    assert "embedding must be a mapping" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("corpus_path", "corpus path {} is a directory"),
+        ("index_path", "index path {} is a directory"),
+    ],
+    ids=["corpus_path", "index_path"],
+)
+def test_run_with_a_directory_for_a_file_exits_3(workdir, capsys, setting, message):
+    folder = workdir / "folder"
+    folder.mkdir()
+    config_path = write_config(workdir, **{setting: str(folder)})
+    assert main(["run", "--config", str(config_path)]) == EXIT_DATA
+    assert message.format(folder) in capsys.readouterr().err
+
+
+def test_run_with_a_file_for_output_dir_exits_3(workdir, capsys):
+    target = workdir / "out"
+    target.write_text("not a directory", encoding="utf-8")
+    config_path = write_config(workdir, output_dir=str(target))
+    assert main(["run", "--config", str(config_path)]) == EXIT_DATA
+    assert f"output_dir {target} is not a usable directory" in capsys.readouterr().err
+    assert target.read_text(encoding="utf-8") == "not a directory"
 
 
 def test_usage_errors_exit_1(capsys):

@@ -115,6 +115,37 @@ def test_missing_file_rejected(tmp_path):
         load_config(tmp_path / "absent.yaml")
 
 
+def test_template_id_other_than_the_rendered_one_rejected(tmp_path):
+    config = load_config(minimal_yaml(tmp_path, {"template_id": TEMPLATE_ID}))
+    assert config.template_id == TEMPLATE_ID
+    with pytest.raises(ConfigError, match="template_id 'my-template/v9'"):
+        load_config(minimal_yaml(tmp_path, {"template_id": "my-template/v9"}))
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"embedding": None}, "embedding must be a mapping, got NoneType"),
+        ({"provider": ["type"]}, "provider must be a mapping, got list"),
+        ({"shot_counts": 5}, "shot_counts must be a list, got int"),
+        ({"strategies": "zero_shot"}, "strategies must be a list, got str"),
+        ({"embedding": {"dimension": "wide"}}, "invalid embedding settings"),
+        ({"provider": {"max_in_flight": None}}, "invalid provider settings"),
+    ],
+    ids=[
+        "null-embedding",
+        "list-provider",
+        "int-shot-counts",
+        "str-strategies",
+        "str-dimension",
+        "null-max-in-flight",
+    ],
+)
+def test_malformed_section_names_its_key(tmp_path, extra, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(minimal_yaml(tmp_path, extra))
+
+
 def test_shot_count_validation():
     base = dict(corpus_path="c", output_dir="o")
     with pytest.raises(ConfigError, match="unique"):

@@ -143,6 +143,14 @@ def test_ingest_idempotent(tmp_path):
     assert ingest(path) == ingest(path)
 
 
+def test_code_sample_requires_code_and_labels():
+    # A CodeSample is also a prompt shot, so these checks guard every shot.
+    with pytest.raises(ValueError, match="truth must be non-empty"):
+        CodeSample(id="a", code="int f();", truth=frozenset())
+    with pytest.raises(ValueError, match="code must be non-empty"):
+        CodeSample(id="a", code="  \n", truth=label_set(["CWE-119"]))
+
+
 def test_corpus_rejects_cross_split_duplicate_ids():
     sample = CodeSample(id="a", code="int f();", truth=label_set(["CWE-119"]))
     with pytest.raises(ValueError, match="duplicate sample id"):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vulnprompt import embedding
 from vulnprompt.embedding import (
     EmbeddingError,
     EmbeddingInput,
@@ -81,6 +82,28 @@ def test_vector_values_are_a_read_only_float64_copy():
         vec.values[0] = 0.0
     with pytest.raises(EmbeddingError, match="1-D"):
         EmbeddingVector(values=[[1.0, 0.0]])
+
+
+class CopyCountingNumpy:
+    """numpy as the embedding module sees it, counting np.array calls."""
+
+    def __init__(self) -> None:
+        self.copies = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def array(self, *args, **kwargs):
+        self.copies += 1
+        return np.array(*args, **kwargs)
+
+
+def test_hashed_embed_makes_no_second_copy(monkeypatch):
+    counting = CopyCountingNumpy()
+    monkeypatch.setattr(embedding, "np", counting)
+    vec = HashedBagOfTokensBackend(dimension=64).embed(EmbeddingInput(code="int f(int x);"))
+    assert counting.copies == 0
+    assert not vec.values.flags.writeable
 
 
 def test_vector_equality_is_exact():

@@ -11,6 +11,7 @@ from contextlib import closing
 import pytest
 
 from vulnprompt import llmclient
+from vulnprompt.corpus import CodeSample
 from vulnprompt.labels import label_set
 from vulnprompt.llmclient import (
     CacheError,
@@ -27,7 +28,7 @@ from vulnprompt.llmclient import (
     _CountingProvider,
     complete,
 )
-from vulnprompt.prompting import PromptSpec, Shot, Strategy, render
+from vulnprompt.prompting import render
 
 
 class StubResponse:
@@ -64,13 +65,8 @@ def request(prompt="Classify this.", **kw):
 
 
 def one_shot_prompt(labels=("CWE-119", "CWE-476")):
-    spec = PromptSpec(
-        strategy=Strategy.RETRIEVAL_FEW_SHOT,
-        k=1,
-        shots=(Shot(code="int f() { return 0; }", labels=label_set(labels)),),
-        test_code="int g(char *p) { return *p; }",
-    )
-    return render(spec)
+    shot = CodeSample(id="s1", code="int f() { return 0; }", truth=label_set(labels))
+    return render((shot,), "int g(char *p) { return *p; }")
 
 
 def test_request_validation():
@@ -364,37 +360,29 @@ def test_fixed_provider():
 
 def test_parrot_provider_returns_first_shot_labels():
     provider = ParrotProvider()
-    spec = PromptSpec(
-        strategy=Strategy.RANDOM_FEW_SHOT,
-        k=2,
-        shots=(
-            Shot(code="int a();", labels=label_set(["CWE-120"])),
-            Shot(code="int b();", labels=label_set(["CWE-469", "CWE-119"])),
-        ),
-        test_code="int c();",
+    shots = (
+        CodeSample(id="a", code="int a();", truth=label_set(["CWE-120"])),
+        CodeSample(id="b", code="int b();", truth=label_set(["CWE-469", "CWE-119"])),
     )
-    assert provider.generate(request(prompt=render(spec))) == "CWE-120"
+    assert provider.generate(request(prompt=render(shots, "int c();"))) == "CWE-120"
 
 
 def test_parrot_provider_rejects_zero_shot():
     provider = ParrotProvider()
-    spec = PromptSpec(strategy=Strategy.ZERO_SHOT, k=0, shots=(), test_code="int c();")
     with pytest.raises(MockProviderError, match="at least one shot"):
-        provider.generate(request(prompt=render(spec)))
+        provider.generate(request(prompt=render((), "int c();")))
 
 
 def test_oracle_provider_answers_from_truth():
     code = "int g(char *p) { return *p; }"
     provider = OracleProvider({code: label_set(["CWE-476", "CWE-119"])})
-    spec = PromptSpec(strategy=Strategy.ZERO_SHOT, k=0, shots=(), test_code=code)
-    assert provider.generate(request(prompt=render(spec))) == "CWE-119, CWE-476"
+    assert provider.generate(request(prompt=render((), code))) == "CWE-119, CWE-476"
 
 
 def test_oracle_provider_unknown_snippet():
     provider = OracleProvider({})
-    spec = PromptSpec(strategy=Strategy.ZERO_SHOT, k=0, shots=(), test_code="int x();")
     with pytest.raises(MockProviderError, match="no truth"):
-        provider.generate(request(prompt=render(spec)))
+        provider.generate(request(prompt=render((), "int x();")))
 
 
 def test_mock_call_counts_are_thread_safe():

@@ -14,12 +14,7 @@ from vulnprompt.metrics import (
     LabeledPair,
     MetricsError,
     MetricsReport,
-    hamming_accuracy,
-    micro_prf,
-    partial_match_accuracy,
-    partial_match_vs_truth,
     report,
-    subset_accuracy,
 )
 
 
@@ -34,19 +29,19 @@ TWO_PAIR_EXAMPLE = [
 
 
 def test_two_pair_example_frozen_values():
-    assert subset_accuracy(TWO_PAIR_EXAMPLE) == 0.0
-    assert hamming_accuracy(TWO_PAIR_EXAMPLE) == 0.75
-    assert partial_match_accuracy(TWO_PAIR_EXAMPLE) == 0.5
-    precision, recall, f1, counts = micro_prf(TWO_PAIR_EXAMPLE)
-    assert (counts.tp, counts.fp, counts.fn, counts.tn) == (2, 1, 1, 4)
-    assert precision == pytest.approx(2 / 3, abs=1e-15)
-    assert recall == pytest.approx(2 / 3, abs=1e-15)
-    assert f1 == pytest.approx(2 / 3, abs=1e-15)
+    result = report(TWO_PAIR_EXAMPLE)
+    assert result.subset_accuracy == 0.0
+    assert result.hamming_accuracy == 0.75
+    assert result.partial_match_accuracy == 0.5
+    assert (result.tp, result.fp, result.fn, result.tn) == (2, 1, 1, 4)
+    assert result.micro_precision == pytest.approx(2 / 3, abs=1e-15)
+    assert result.micro_recall == pytest.approx(2 / 3, abs=1e-15)
+    assert result.micro_f1 == pytest.approx(2 / 3, abs=1e-15)
 
 
 def test_subset_accuracy_half():
     pairs = [pair(["CWE-119"], ["CWE-119"]), pair(["CWE-120"], ["CWE-469"])]
-    assert subset_accuracy(pairs) == 0.5
+    assert report(pairs).subset_accuracy == 0.5
 
 
 def test_all_exact_matches():
@@ -62,32 +57,31 @@ def test_all_exact_matches():
 
 def test_empty_prediction_degenerate():
     pairs = [pair(["CWE-119", "CWE-120", "CWE-469", "CWE-476"], [])]
-    assert hamming_accuracy(pairs) == 0.0
-    precision, recall, f1, _ = micro_prf(pairs)
-    assert (precision, recall, f1) == (0.0, 0.0, 0.0)
+    result = report(pairs)
+    assert result.hamming_accuracy == 0.0
+    assert (result.micro_precision, result.micro_recall, result.micro_f1) == (0.0, 0.0, 0.0)
 
 
 def test_partial_match_empty_empty_scores_one():
     pairs = [LabeledPair(truth=frozenset(), pred=frozenset())]
-    assert partial_match_accuracy(pairs) == 1.0
-    assert partial_match_vs_truth(pairs) == 1.0
+    assert report(pairs).partial_match_accuracy == 1.0
+    assert report(pairs).partial_match_vs_truth == 1.0
 
 
 def test_partial_match_vs_truth_normalizes_by_truth():
     pairs = [pair(["CWE-119", "CWE-476"], ["CWE-119", "CWE-120"])]
-    assert partial_match_accuracy(pairs) == pytest.approx(1 / 3)
-    assert partial_match_vs_truth(pairs) == pytest.approx(1 / 2)
+    assert report(pairs).partial_match_accuracy == pytest.approx(1 / 3)
+    assert report(pairs).partial_match_vs_truth == pytest.approx(1 / 2)
 
 
 def test_disjoint_prediction_contributes_zero():
     pairs = [pair(["CWE-119"], ["CWE-120"]), pair(["CWE-469"], ["CWE-469"])]
-    assert partial_match_accuracy(pairs) == 0.5
+    assert report(pairs).partial_match_accuracy == 0.5
 
 
 def test_empty_input_rejected():
-    for fn in (subset_accuracy, hamming_accuracy, partial_match_accuracy, micro_prf, report):
-        with pytest.raises(MetricsError):
-            fn([])
+    with pytest.raises(MetricsError):
+        report([])
 
 
 def test_report_counts_identity():

@@ -12,8 +12,6 @@ from vulnprompt.labels import label_set
 from vulnprompt.prompting import (
     PROMPT_STRATEGIES,
     PromptError,
-    PromptSpec,
-    Shot,
     ShotOrder,
     Strategy,
     extract_test_code,
@@ -38,33 +36,14 @@ def make_pool(n):
 
 
 def make_shot(i=0, labels=("CWE-119",)):
-    return Shot(code=f"int f{i}() {{ return {i}; }}", labels=label_set(labels))
+    return CodeSample(
+        id=f"s{i:03d}", code=f"int f{i}() {{ return {i}; }}", truth=label_set(labels)
+    )
 
 
 def test_strategy_partition():
     assert Strategy.RETRIEVAL_LABELING not in PROMPT_STRATEGIES
     assert len(PROMPT_STRATEGIES) == 3
-
-
-def test_spec_invariants():
-    PromptSpec(strategy=Strategy.ZERO_SHOT, k=0, shots=(), test_code="int f();")
-    with pytest.raises(PromptError, match="k=0"):
-        PromptSpec(
-            strategy=Strategy.ZERO_SHOT, k=1, shots=(make_shot(),), test_code="x"
-        )
-    with pytest.raises(PromptError, match="expected 2 shots"):
-        PromptSpec(
-            strategy=Strategy.RANDOM_FEW_SHOT, k=2, shots=(make_shot(),), test_code="x"
-        )
-    with pytest.raises(PromptError, match="does not build prompts"):
-        PromptSpec(
-            strategy=Strategy.RETRIEVAL_LABELING, k=1, shots=(make_shot(),), test_code="x"
-        )
-
-
-def test_shot_requires_labels():
-    with pytest.raises(PromptError):
-        Shot(code="int f();", labels=frozenset())
 
 
 def test_select_random_deterministic():
@@ -114,20 +93,13 @@ def test_shots_from_neighbors_follow_top_k_order(
     query = hashed_backend.embed(EmbeddingInput(code=sample.code))
     neighbors = top_k(synthetic_index, query, 3)
     shots = shots_from_neighbors(neighbors, samples_by_id, ShotOrder.SIMILAR_FIRST)
-    assert len(shots) == 3
-    assert [(s.code, s.labels) for s in shots] == [
-        (samples_by_id[n.sample_id].code, samples_by_id[n.sample_id].truth)
-        for n in neighbors
-    ]
+    assert shots == tuple(samples_by_id[n.sample_id] for n in neighbors)
     reversed_shots = shots_from_neighbors(neighbors, samples_by_id, ShotOrder.SIMILAR_LAST)
     assert list(reversed_shots) == list(shots[::-1])
 
 
 def test_render_zero_shot_has_no_shot_blocks():
-    spec = PromptSpec(
-        strategy=Strategy.ZERO_SHOT, k=0, shots=(), test_code="int f() { return 0; }"
-    )
-    prompt = render(spec)
+    prompt = render((), "int f() { return 0; }")
     assert "int f() { return 0; }" in prompt
     assert shot_label_lines(prompt) == []
     assert prompt.endswith("Vulnerabilities:")
@@ -135,49 +107,32 @@ def test_render_zero_shot_has_no_shot_blocks():
 
 def test_render_two_shot_blocks_in_order():
     shots = (make_shot(1, labels=("CWE-476", "CWE-119")), make_shot(2, labels=("CWE-120",)))
-    spec = PromptSpec(
-        strategy=Strategy.RANDOM_FEW_SHOT, k=2, shots=shots, test_code="int g();"
-    )
-    prompt = render(spec)
+    prompt = render(shots, "int g();")
     assert shot_label_lines(prompt) == ["CWE-119, CWE-476", "CWE-120"]
     assert prompt.index("int f1()") < prompt.index("int f2()")
 
 
 def test_render_deterministic():
     shots = (make_shot(1),)
-    spec = PromptSpec(
-        strategy=Strategy.RETRIEVAL_FEW_SHOT, k=1, shots=shots, test_code="int g();"
-    )
-    assert render(spec) == render(spec)
+    assert render(shots, "int g();") == render(shots, "int g();")
 
 
 def test_render_sensitive_to_shot_order():
     a, b = make_shot(1), make_shot(2)
-    one = render(
-        PromptSpec(strategy=Strategy.RANDOM_FEW_SHOT, k=2, shots=(a, b), test_code="x")
-    )
-    two = render(
-        PromptSpec(strategy=Strategy.RANDOM_FEW_SHOT, k=2, shots=(b, a), test_code="x")
-    )
-    assert one != two
+    assert render((a, b), "x") != render((b, a), "x")
 
 
 def test_preamble_names_exactly_four_cwes():
     import re
 
-    prompt = render(
-        PromptSpec(strategy=Strategy.ZERO_SHOT, k=0, shots=(), test_code="int f();")
-    )
+    prompt = render((), "int f();")
     mentioned = set(re.findall(r"CWE-\d+", prompt))
     assert mentioned == {"CWE-119", "CWE-120", "CWE-469", "CWE-476"}
 
 
 def test_extract_test_code_round_trip():
     code = "int f(char *p) {\n    return *p;\n}"
-    spec = PromptSpec(
-        strategy=Strategy.RANDOM_FEW_SHOT, k=1, shots=(make_shot(),), test_code=code
-    )
-    assert extract_test_code(render(spec)) == code
+    assert extract_test_code(render((make_shot(),), code)) == code
 
 
 def test_extract_test_code_rejects_foreign_text():
@@ -194,5 +149,4 @@ def test_prompt_hash_is_stable_hex():
 
 @given(st.text(min_size=1).filter(lambda s: s.strip() and "\nCode:\n" not in s))
 def test_extract_round_trip_property(code):
-    spec = PromptSpec(strategy=Strategy.ZERO_SHOT, k=0, shots=(), test_code=code)
-    assert extract_test_code(render(spec)) == code
+    assert extract_test_code(render((), code)) == code
