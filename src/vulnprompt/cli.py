@@ -15,12 +15,13 @@ from pathlib import Path
 
 from .config import ConfigError, load_config
 from .corpus import IngestError, dump_jsonl, ingest, validate
-from .embedding import EmbeddingError, HashedBagOfTokensBackend
+from .embedding import EmbeddingError
 from .llmclient import CacheError, ResponseCache
 from .runner import (
     RunnerError,
     RunReport,
     StrictRunError,
+    build_backend,
     build_index_from_corpus,
     emit_curves,
     emit_table,
@@ -75,25 +76,22 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_index_build(args) -> int:
-    corpus = ingest(args.corpus)
-    backend = HashedBagOfTokensBackend(dimension=args.dimension)
-    index = build_index_from_corpus(
-        corpus, backend, include_labels=not args.no_labels
-    )
-    save_index(index, args.out)
-    print(f"indexed {len(index)} train samples (dim {index.dimension}) -> {args.out}")
+    config = load_config(args.config)
+    if not config.index_path:
+        raise ConfigError(f"{args.config} sets no index_path to write the index to")
+    corpus = ingest(config.corpus_path)
+    index = build_index_from_corpus(corpus, build_backend(config), config.include_labels_in_index)
+    save_index(index, config.index_path)
+    print(f"indexed {len(index)} train samples (dim {index.dimension}) -> {config.index_path}")
     return EXIT_OK
 
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    overrides = {}
     if args.strict:
-        overrides["strict"] = True
+        config = dataclasses.replace(config, strict=True)
     if args.output_dir:
-        overrides["output_dir"] = args.output_dir
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+        config = dataclasses.replace(config, output_dir=args.output_dir)
     report = run(config)
     out_dir = Path(config.output_dir)
     print(f"wrote {out_dir / 'records.jsonl'}")
@@ -107,7 +105,10 @@ def _load_report(run_path: str) -> RunReport:
     path = Path(run_path)
     if path.is_dir():
         path = path / "report.json"
-    return RunReport.from_json(path.read_text(encoding="utf-8"))
+    try:
+        return RunReport.from_json(path.read_text(encoding="utf-8"))
+    except (RunnerError, UnicodeDecodeError) as exc:
+        raise RunnerError(f"{path}: {exc}") from None
 
 
 def _cmd_report_table(args) -> int:
@@ -153,21 +154,14 @@ def build_parser() -> _Parser:
 
     p_index = sub.add_parser("index", help="vector index operations")
     index_sub = p_index.add_subparsers(dest="index_command", required=True)
-    p_build = index_sub.add_parser("build", help="embed the train split and save an index")
-    p_build.add_argument("--corpus", required=True, help="corpus JSONL path")
-    p_build.add_argument("--out", required=True, help="index JSONL output path")
-    p_build.add_argument("--dimension", type=int, default=256, help="embedding dimension")
-    p_build.add_argument(
-        "--no-labels",
-        action="store_true",
-        help="embed code only, without appending labels",
-    )
+    p_build = index_sub.add_parser("build", help="embed a config's train split into its index_path")
+    p_build.add_argument("--config", required=True, help="YAML experiment config path")
     p_build.set_defaults(fn=_cmd_index_build)
 
     p_run = sub.add_parser("run", help="execute a full experiment sweep")
     p_run.add_argument("--config", required=True, help="YAML experiment config path")
     p_run.add_argument(
-        "--strict", action="store_true", help="abort on the first provider failure"
+        "--strict", action="store_true", help="stop after the first cell with a provider failure"
     )
     p_run.add_argument("--output-dir", help="override the config output directory")
     p_run.set_defaults(fn=_cmd_run)

@@ -1,16 +1,22 @@
 """Experiment configuration: dataclasses plus a strict YAML loader.
 
-Unknown keys are rejected rather than ignored so typos in config files fail
-loudly instead of silently running a default.
+The dataclass annotations are the schema: unknown keys and mistyped values
+fail loudly instead of silently running a default or another setting.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+import json
+import re
+from dataclasses import asdict, dataclass, field, is_dataclass
+from enum import Enum
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
+from .llmclient import CompletionRequest
 from .prompting import TEMPLATE_ID, ShotOrder, Strategy
 
 DEFAULT_SHOT_COUNTS = tuple(range(1, 11)) + (20,)
@@ -62,6 +68,10 @@ class ProviderSettings:
             raise ConfigError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
         if self.retries < 1:
             raise ConfigError(f"retries must be >= 1, got {self.retries}")
+        try:  # the checks every request of the run would make, before any call
+            CompletionRequest(self.model_id, "-", self.temperature, self.max_output_tokens)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -70,13 +80,13 @@ class ExperimentConfig:
 
     corpus_path: str
     output_dir: str
-    strategies: tuple = (
+    strategies: tuple[Strategy, ...] = (
         Strategy.ZERO_SHOT,
         Strategy.RANDOM_FEW_SHOT,
         Strategy.RETRIEVAL_FEW_SHOT,
         Strategy.RETRIEVAL_LABELING,
     )
-    shot_counts: tuple = DEFAULT_SHOT_COUNTS
+    shot_counts: tuple[int, ...] = DEFAULT_SHOT_COUNTS
     seed: int = 0
     index_path: str | None = None
     cache_dir: str | None = None
@@ -113,38 +123,56 @@ class ExperimentConfig:
             )
 
     def to_json_dict(self) -> dict:
-        data = asdict(self)
-        data["strategies"] = [s.value for s in self.strategies]
-        data["shot_counts"] = list(self.shot_counts)
-        data["shot_order"] = self.shot_order.value
-        return data
+        return json.loads(json.dumps(asdict(self)))  # enums as their values, tuples as lists
 
 
-def _check_keys(section: str, data: dict, allowed) -> None:
-    unknown = set(data) - set(allowed)
+def _typed(key: str, value, hint):
+    """Convert a YAML value to its annotation (list to tuple, string to enum, mapping
+    to settings class; an int passes as a float, a bool not as an int), or raise
+    ConfigError naming `key`."""
+    if value is None and type(None) in get_args(hint):  # `X | None`
+        return None
+    hint = get_args(hint)[0] if get_origin(hint) is UnionType else hint
+    if get_origin(hint) is tuple:
+        if isinstance(value, list):
+            return tuple(_typed(f"{key}[{i}]", v, get_args(hint)[0]) for i, v in enumerate(value))
+        expected = "a list"
+    elif is_dataclass(hint):
+        if isinstance(value, dict):
+            try:
+                return _from_mapping(hint, value)
+            except ConfigError as exc:
+                raise ConfigError(f"invalid {key} settings: {exc}") from None
+        expected = "a mapping"
+    elif issubclass(hint, Enum):
+        try:
+            return hint(value)
+        except ValueError:
+            noun = re.sub(r"(?<=[a-z])([A-Z])", r"_\1", hint.__name__).lower()
+            raise ConfigError(f"unknown {noun} {value!r} in {key}") from None
+    elif (hint is float and type(value) is int) or (
+        isinstance(value, hint) and (type(value) is not bool or hint is bool)
+    ):
+        return value
+    else:
+        expected = hint.__name__
+    raise ConfigError(f"{key} must be {expected}, got {type(value).__name__}")
+
+
+def _from_mapping(cls, data: dict):
+    """Build the config dataclass `cls` from a YAML mapping."""
+    hints = get_type_hints(cls)
+    unknown = ", ".join(sorted(map(str, set(data) - set(hints))))
     if unknown:
-        raise ConfigError(f"unknown {section} key(s): {', '.join(sorted(unknown))}")
-
-
-def _section(name: str, data, cls):
-    """Build a settings dataclass from one config section, rejecting bad keys."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{name} must be a mapping, got {type(data).__name__}")
-    _check_keys(name, data, {f.name for f in fields(cls)})
+        raise ConfigError(f"unknown config key(s): {unknown}")
     try:
-        return cls(**data)
-    except TypeError as exc:
-        raise ConfigError(f"invalid {name} settings: {exc}") from None
-
-
-def _sequence(name: str, value) -> tuple:
-    if not isinstance(value, list):
-        raise ConfigError(f"{name} must be a list, got {type(value).__name__}")
-    return tuple(value)
+        return cls(**{key: _typed(key, value, hints[key]) for key, value in data.items()})
+    except TypeError as exc:  # a required key is missing
+        raise ConfigError(f"invalid config: {exc}") from None
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Load an ExperimentConfig from a YAML file, rejecting unknown keys."""
+    """Load an ExperimentConfig from a YAML file, checking each key against its annotation."""
     try:
         raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -153,31 +181,4 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"malformed YAML in {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-
-    top_fields = {f.name for f in fields(ExperimentConfig)}
-    _check_keys("config", raw, top_fields)
-
-    kwargs = dict(raw)
-    if "strategies" in kwargs:
-        try:
-            kwargs["strategies"] = tuple(
-                Strategy(s) for s in _sequence("strategies", kwargs["strategies"])
-            )
-        except ValueError as exc:
-            raise ConfigError(f"unknown strategy: {exc}") from None
-    if "shot_counts" in kwargs:
-        kwargs["shot_counts"] = _sequence("shot_counts", kwargs["shot_counts"])
-    if "shot_order" in kwargs:
-        try:
-            kwargs["shot_order"] = ShotOrder(kwargs["shot_order"])
-        except ValueError:
-            raise ConfigError(f"unknown shot_order {kwargs['shot_order']!r}") from None
-    if "embedding" in kwargs:
-        kwargs["embedding"] = _section("embedding", kwargs["embedding"], EmbeddingSettings)
-    if "provider" in kwargs:
-        kwargs["provider"] = _section("provider", kwargs["provider"], ProviderSettings)
-
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"invalid config: {exc}") from None
+    return _from_mapping(ExperimentConfig, raw)

@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .corpus import Corpus, ingest
 from .embedding import EmbeddingInput, HashedBagOfTokensBackend, RemoteEmbeddingBackend
 from .fileio import atomic_write_text
@@ -220,15 +220,18 @@ class RunReport:
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
-        data = json.loads(text)
-        return cls(
-            template_id=data["template_id"],
-            shot_order=ShotOrder(data["shot_order"]),
-            config=data["config"],
-            cells=tuple(CellReport.from_json_dict(c) for c in data["cells"]),
-            provider_calls=data["provider_calls"],
-            metadata=data.get("metadata", {}),
-        )
+        try:
+            data = json.loads(text)
+            return cls(
+                template_id=data["template_id"],
+                shot_order=ShotOrder(data["shot_order"]),
+                config=data["config"],
+                cells=tuple(CellReport.from_json_dict(c) for c in data["cells"]),
+                provider_calls=data["provider_calls"],
+                metadata=data.get("metadata", {}),
+            )
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
+            raise RunnerError(f"not a run report: {type(exc).__name__}: {exc}") from None
 
 
 def build_index_from_corpus(
@@ -256,7 +259,8 @@ def build_index_from_corpus(
     return build(entries, count=len(corpus.train))
 
 
-def _build_backend(config: ExperimentConfig):
+def build_backend(config: ExperimentConfig):
+    """The embedding backend the config names."""
     settings = config.embedding
     if settings.backend == "hashed":
         return HashedBagOfTokensBackend(dimension=settings.dimension)
@@ -273,7 +277,7 @@ def _build_provider(config: ExperimentConfig, corpus: Corpus):
     settings = config.provider
     if settings.type == "remote":
         if not settings.endpoint:
-            raise RunnerError("remote provider requires an endpoint")
+            raise ConfigError("remote provider requires an endpoint")
         return RemoteChatProvider(
             endpoint=settings.endpoint,
             api_key_env=settings.api_key_env,
@@ -286,7 +290,7 @@ def _build_provider(config: ExperimentConfig, corpus: Corpus):
     if settings.type == "parrot":
         return ParrotProvider()
     if not settings.fixed_text:
-        raise RunnerError("fixed provider requires fixed_text")
+        raise ConfigError("fixed provider requires fixed_text")
     return FixedProvider(settings.fixed_text)
 
 
@@ -356,7 +360,7 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
         )
 
     samples_by_id = corpus.by_id()
-    backend = embed_backend if embed_backend is not None else _build_backend(config)
+    backend = embed_backend if embed_backend is not None else build_backend(config)
 
     # Each test query is ranked once, at the largest shot count; every
     # retrieval cell takes a prefix of that ranking, which top_k guarantees

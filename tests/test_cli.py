@@ -13,7 +13,11 @@ import yaml
 
 import vulnprompt
 from vulnprompt.cli import EXIT_DATA, EXIT_OK, EXIT_PROVIDER, EXIT_USAGE, main
+from vulnprompt.corpus import ingest
+from vulnprompt.embedding import EmbeddingInput, HashedBagOfTokensBackend
 from vulnprompt.llmclient import CACHE_FILENAME
+from vulnprompt.runner import build_index_from_corpus
+from vulnprompt.vecindex import load_index, save_index
 
 
 @pytest.fixture()
@@ -70,21 +74,67 @@ def test_ingest_malformed_file_is_data_error(tmp_path, capsys):
 
 
 def test_index_build(workdir, capsys):
-    rc = main(
-        [
-            "index",
-            "build",
-            "--corpus",
-            str(workdir / "corpus.jsonl"),
-            "--out",
-            str(workdir / "index.jsonl"),
-            "--dimension",
-            "64",
-        ]
+    config_path = write_config(
+        workdir, index_path=str(workdir / "index.jsonl"), embedding={"dimension": 64}
     )
+    rc = main(["index", "build", "--config", str(config_path)])
     assert rc == EXIT_OK
-    assert "22 train samples" in capsys.readouterr().out
+    assert "22 train samples (dim 64)" in capsys.readouterr().out
     assert (workdir / "index.jsonl").exists()
+
+
+@pytest.mark.parametrize("include_labels", [False, True], ids=["bare-code", "with-labels"])
+def test_index_build_follows_the_config_label_setting(workdir, include_labels):
+    index_path = workdir / "index.jsonl"
+    config_path = write_config(
+        workdir, index_path=str(index_path), include_labels_in_index=include_labels
+    )
+    assert main(["index", "build", "--config", str(config_path)]) == EXIT_OK
+    corpus = ingest(workdir / "corpus.jsonl")
+    backend = HashedBagOfTokensBackend(dimension=256)
+    for labels, name in ((include_labels, "expected.jsonl"), (not include_labels, "other.jsonl")):
+        save_index(build_index_from_corpus(corpus, backend, include_labels=labels), workdir / name)
+    saved = index_path.read_bytes()
+    assert saved == (workdir / "expected.jsonl").read_bytes()
+    assert saved != (workdir / "other.jsonl").read_bytes()
+
+
+def test_index_build_embeds_with_a_remote_backend(workdir, monkeypatch):
+    hashed = HashedBagOfTokensBackend(dimension=8)
+    posted = []
+
+    class Response:
+        status_code = 200
+
+        def __init__(self, text):
+            self._values = hashed.embed(EmbeddingInput(code=text)).values.tolist()
+
+        def json(self):
+            return {"embedding": self._values}
+
+    def post(session, url, json=None, headers=None, timeout=None):
+        posted.append((url, json["model"]))
+        return Response(json["input"])
+
+    monkeypatch.setattr("requests.Session.post", post)
+    embedding = {
+        "backend": "remote",
+        "endpoint": "http://embeddings.invalid/v1",
+        "model": "embed-small",
+        "dimension": 8,
+    }
+    index_path = workdir / "index.jsonl"
+    config_path = write_config(workdir, index_path=str(index_path), embedding=embedding)
+    assert main(["index", "build", "--config", str(config_path)]) == EXIT_OK
+    index = load_index(index_path)
+    assert (len(index), index.dimension) == (22, 8)
+    assert posted == [("http://embeddings.invalid/v1", "embed-small")] * 22
+
+
+def test_index_build_without_index_path_exits_1(workdir, capsys):
+    config_path = write_config(workdir)
+    assert main(["index", "build", "--config", str(config_path)]) == EXIT_USAGE
+    assert "sets no index_path" in capsys.readouterr().err
 
 
 def test_run_and_reports(workdir, capsys):
@@ -110,20 +160,8 @@ def test_run_and_reports(workdir, capsys):
 
 
 def test_run_with_prebuilt_index(workdir):
-    assert (
-        main(
-            [
-                "index",
-                "build",
-                "--corpus",
-                str(workdir / "corpus.jsonl"),
-                "--out",
-                str(workdir / "index.jsonl"),
-            ]
-        )
-        == EXIT_OK
-    )
     config_path = write_config(workdir, index_path=str(workdir / "index.jsonl"))
+    assert main(["index", "build", "--config", str(config_path)]) == EXIT_OK
     assert main(["run", "--config", str(config_path)]) == EXIT_OK
 
 
@@ -147,16 +185,13 @@ def set_labels(record, value):
 )
 def test_run_with_corrupt_index_value_exits_3(workdir, capsys, corrupt, value, message):
     index_path = workdir / "index.jsonl"
-    assert (
-        main(["index", "build", "--corpus", str(workdir / "corpus.jsonl"), "--out", str(index_path)])
-        == EXIT_OK
-    )
+    config_path = write_config(workdir, index_path=str(index_path))
+    assert main(["index", "build", "--config", str(config_path)]) == EXIT_OK
     lines = index_path.read_text(encoding="utf-8").splitlines()
     record = json.loads(lines[0])
     corrupt(record, value)
     lines[0] = json.dumps(record)
     index_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    config_path = write_config(workdir, index_path=str(index_path))
     capsys.readouterr()
     assert main(["run", "--config", str(config_path)]) == EXIT_DATA
     assert message in capsys.readouterr().err
@@ -164,16 +199,13 @@ def test_run_with_corrupt_index_value_exits_3(workdir, capsys, corrupt, value, m
 
 def test_run_with_index_labels_differing_from_corpus_exits_3(workdir, capsys):
     index_path = workdir / "index.jsonl"
-    assert (
-        main(["index", "build", "--corpus", str(workdir / "corpus.jsonl"), "--out", str(index_path)])
-        == EXIT_OK
-    )
+    config_path = write_config(workdir, index_path=str(index_path))
+    assert main(["index", "build", "--config", str(config_path)]) == EXIT_OK
     lines = index_path.read_text(encoding="utf-8").splitlines()
     record = json.loads(lines[0])
     record["labels"] = ["CWE-469"] if record["labels"] != ["CWE-469"] else ["CWE-476"]
     lines[0] = json.dumps(record)
     index_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    config_path = write_config(workdir, index_path=str(index_path))
     capsys.readouterr()
     assert main(["run", "--config", str(config_path)]) == EXIT_DATA
     err = capsys.readouterr().err
@@ -285,6 +317,55 @@ def test_malformed_config_section_exits_1_without_traceback(workdir):
     assert proc.returncode == EXIT_USAGE
     assert "embedding must be a mapping" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"corpus_path": 5}, "corpus_path must be str, got int"),
+        ({"include_labels_in_index": "false"}, "include_labels_in_index must be bool, got str"),
+        ({"provider": {"type": "parrot", "temperature": -1}}, "temperature must be >= 0, got -1"),
+    ],
+    ids=["int-corpus-path", "str-bool", "negative-temperature"],
+)
+def test_mistyped_config_value_exits_1_without_traceback(workdir, overrides, message):
+    config_path = write_config(workdir, **overrides)
+    proc = run_cli("run", "--config", str(config_path))
+    assert proc.returncode == EXIT_USAGE
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "provider, message",
+    [
+        ({"type": "remote"}, "remote provider requires an endpoint"),
+        ({"type": "fixed"}, "fixed provider requires fixed_text"),
+    ],
+    ids=["remote-without-endpoint", "fixed-without-text"],
+)
+def test_provider_missing_its_setting_exits_1(workdir, capsys, provider, message):
+    config_path = write_config(workdir, provider=provider)
+    assert main(["run", "--config", str(config_path)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["table", "curves"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b"not json", "not a run report: JSONDecodeError"),
+        (b'{"x": 1}', "not a run report: KeyError: 'template_id'"),
+        (b"[1]", "not a run report: TypeError"),
+        (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["not-json", "missing-field", "not-an-object", "not-utf-8"],
+)
+def test_report_from_a_malformed_report_exits_3(workdir, capsys, command, text, message):
+    report_path = workdir / "report.json"
+    report_path.write_bytes(text)
+    assert main(["report", command, "--run", str(workdir)]) == EXIT_DATA
+    assert f"{report_path}: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

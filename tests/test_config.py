@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 import yaml
 
@@ -144,6 +146,76 @@ def test_template_id_other_than_the_rendered_one_rejected(tmp_path):
 def test_malformed_section_names_its_key(tmp_path, extra, message):
     with pytest.raises(ConfigError, match=message):
         load_config(minimal_yaml(tmp_path, extra))
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"include_labels_in_index": "false"}, "include_labels_in_index must be bool, got str"),
+        ({"strict": "no"}, "strict must be bool, got str"),
+        ({"seed": [1, 2]}, "seed must be int, got list"),
+        ({"seed": True}, "seed must be int, got bool"),
+        ({"shot_counts": [1, True]}, "shot_counts[1] must be int, got bool"),
+        ({"corpus_path": 5}, "corpus_path must be str, got int"),
+        ({"output_dir": 7}, "output_dir must be str, got int"),
+        ({"index_path": 3}, "index_path must be str, got int"),
+        (
+            {"provider": {"max_in_flight": 2.5}},
+            "invalid provider settings: max_in_flight must be int, got float",
+        ),
+        (
+            {"provider": {"temperature": "0"}},
+            "invalid provider settings: temperature must be float, got str",
+        ),
+        (
+            {"embedding": {"dimension": True}},
+            "invalid embedding settings: dimension must be int, got bool",
+        ),
+    ],
+    ids=[
+        "str-include-labels",
+        "str-strict",
+        "list-seed",
+        "bool-seed",
+        "bool-shot-count",
+        "int-corpus-path",
+        "int-output-dir",
+        "int-index-path",
+        "float-max-in-flight",
+        "str-temperature",
+        "bool-dimension",
+    ],
+)
+def test_mistyped_value_names_its_key(tmp_path, extra, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(minimal_yaml(tmp_path, extra))
+
+
+def test_int_for_a_float_is_kept_as_written(tmp_path):
+    config = load_config(
+        minimal_yaml(tmp_path, {"provider": {"temperature": 0, "timeout_s": 5}})
+    )
+    assert type(config.provider.temperature) is int
+    assert config.to_json_dict()["provider"]["temperature"] == 0
+    assert config.provider.timeout_s == 5
+    with pytest.raises(ConfigError, match="timeout_s must be float, got bool"):
+        load_config(minimal_yaml(tmp_path, {"provider": {"timeout_s": True}}))
+
+
+@pytest.mark.parametrize(
+    "provider, message",
+    [
+        ({"temperature": -1}, "temperature must be >= 0, got -1"),
+        ({"model_id": ""}, "model_id must be non-empty"),
+        ({"max_output_tokens": 0}, "max_output_tokens must be >= 1, got 0"),
+    ],
+    ids=["negative-temperature", "empty-model-id", "zero-max-output-tokens"],
+)
+def test_provider_request_fields_checked_at_load(tmp_path, provider, message):
+    with pytest.raises(ConfigError, match=f"invalid provider settings: {message}"):
+        load_config(minimal_yaml(tmp_path, {"provider": provider}))
+    with pytest.raises(ConfigError, match=message):
+        ProviderSettings(**provider)
 
 
 def test_shot_count_validation():
