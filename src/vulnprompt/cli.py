@@ -212,7 +212,7 @@ def main(argv=None) -> int:
     except (IngestError, RunnerError, VecIndexError, EmbeddingError, CacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, or a directory where a file belongs
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -7,6 +7,7 @@ fail loudly instead of silently running a default or another setting.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import asdict, dataclass, field, is_dataclass
 from enum import Enum
@@ -68,6 +69,8 @@ class ProviderSettings:
             raise ConfigError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
         if self.retries < 1:
             raise ConfigError(f"retries must be >= 1, got {self.retries}")
+        if not 0 < self.timeout_s < math.inf:  # also false for NaN
+            raise ConfigError(f"timeout_s must be a finite number > 0, got {self.timeout_s}")
         try:  # the checks every request of the run would make, before any call
             CompletionRequest(self.model_id, "-", self.temperature, self.max_output_tokens)
         except ValueError as exc:

@@ -131,6 +131,8 @@ def token_coordinate(token: str, dimension: int) -> tuple:
 
 class EmbeddingBackend(Protocol):
     dimension: int
+    # What fixes the backend's vectors; an index records it in its stamp.
+    identity: dict
 
     def embed(self, item: EmbeddingInput) -> EmbeddingVector: ...
 
@@ -152,6 +154,10 @@ class HashedBagOfTokensBackend:
         self._coordinate = functools.lru_cache(maxsize=_COORDINATE_MEMO_SIZE)(
             functools.partial(token_coordinate, dimension=dimension)
         )
+
+    @property
+    def identity(self) -> dict:
+        return {"backend": "hashed", "dimension": self.dimension, "hash_key": _HASH_KEY.decode()}
 
     def embed(self, item: EmbeddingInput) -> EmbeddingVector:
         tokens = tokenize(item.rendered_text())
@@ -208,6 +214,11 @@ class RemoteEmbeddingBackend:
             session=session,
             sleep=sleep,
         )
+
+    @property
+    def identity(self) -> dict:
+        # The endpoint is left out: the same model served elsewhere gives the same vectors.
+        return {"backend": "remote", "model": self.model, "dimension": self.dimension}
 
     def embed(self, item: EmbeddingInput) -> EmbeddingVector:
         text = item.rendered_text()

@@ -4,17 +4,20 @@ from __future__ import annotations
 
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write text to path via a same-directory temp file and os.replace."""
+@contextmanager
+def atomic_open(path: str | Path):
+    """Yield a binary handle on a same-directory temp file; os.replace it onto
+    path when the block ends cleanly, and delete it when the block raises."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            yield handle
         os.replace(tmp_name, target)
     except BaseException:
         try:
@@ -22,3 +25,9 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write text to path as UTF-8 via a same-directory temp file and os.replace."""
+    with atomic_open(path) as handle:
+        handle.write(text.encode("utf-8"))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sqlite3
 import threading
 import time
@@ -58,8 +59,10 @@ class CompletionRequest:
             raise ValueError("model_id must be non-empty")
         if not self.prompt:
             raise ValueError("prompt must be non-empty")
-        if self.temperature < 0.0:
+        if not self.temperature >= 0.0:  # also true for NaN
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        if self.temperature == math.inf:
+            raise ValueError("temperature must be finite, got inf")
         if self.max_output_tokens < 1:
             raise ValueError(
                 f"max_output_tokens must be >= 1, got {self.max_output_tokens}"

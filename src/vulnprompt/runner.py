@@ -26,6 +26,7 @@ perturb the payload.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -38,7 +39,7 @@ from .corpus import Corpus, ingest
 from .embedding import EmbeddingInput, HashedBagOfTokensBackend, RemoteEmbeddingBackend
 from .fileio import atomic_write_text
 from .labeling import ParseOutcome, parse_labels, retrieval_label
-from .labels import label_codes, label_set
+from .labels import format_labels, label_codes, label_set
 from .llmclient import (
     CompletionRequest,
     FixedProvider,
@@ -60,7 +61,7 @@ from .prompting import (
     select_random,
     shots_from_neighbors,
 )
-from .vecindex import IndexEntry, VectorIndex, build, load_index, top_k
+from .vecindex import REBUILD_HINT, IndexEntry, VectorIndex, build, load_index, top_k
 
 TABLE_COLUMNS = (
     "strategy",
@@ -234,10 +235,25 @@ class RunReport:
             raise RunnerError(f"not a run report: {type(exc).__name__}: {exc}") from None
 
 
+def index_stamp(corpus: Corpus, backend, include_labels: bool) -> dict:
+    """What an index of `corpus`'s train split embedded by `backend` is built from.
+
+    The backend's identity, the label setting, and one SHA-256 over each train
+    sample's id, labels and code (their lengths first), in split order.
+    """
+    digest = hashlib.sha256()
+    for sample in corpus.train:
+        fields = [t.encode("utf-8") for t in (sample.id, format_labels(sample.truth), sample.code)]
+        digest.update(b"%d:%d:%d:" % tuple(map(len, fields)) + b"".join(fields))
+    return {**backend.identity, "include_labels": include_labels,
+            "train_sha256": digest.hexdigest()}
+
+
 def build_index_from_corpus(
     corpus: Corpus, backend, include_labels: bool = True
 ) -> VectorIndex:
-    """Embed every train sample and assemble the retrieval index.
+    """Embed every train sample and assemble the retrieval index, stamped
+    with index_stamp.
 
     With include_labels on, each sample's labels are appended to the text
     before embedding, so samples sharing a label sit closer together.
@@ -256,7 +272,8 @@ def build_index_from_corpus(
         )
         for sample in corpus.train
     )
-    return build(entries, count=len(corpus.train))
+    stamp = index_stamp(corpus, backend, include_labels)
+    return build(entries, count=len(corpus.train), built_from=stamp)
 
 
 def build_backend(config: ExperimentConfig):
@@ -294,23 +311,20 @@ def _build_provider(config: ExperimentConfig, corpus: Corpus):
     return FixedProvider(settings.fixed_text)
 
 
-def _load_checked_index(path, dimension: int, samples_by_id) -> VectorIndex:
-    """Load a saved index and check it against the run's embedding and corpus."""
+def _load_checked_index(path, corpus: Corpus, backend, include_labels: bool) -> VectorIndex:
+    """Load a saved index; reject it unless it holds this run's train split, stamped
+    as index_stamp stamps it for this run's backend and label setting."""
     index = load_index(path)
-    if index.dimension != dimension:
+    if index.built_from is None:
+        raise RunnerError(f"index {path} has no built_from stamp; {REBUILD_HINT}")
+    train = corpus.train
+    expected = {**index_stamp(corpus, backend, include_labels),
+                "ids": [s.id for s in train], "labels": [s.truth for s in train]}
+    found = {**index.built_from, "ids": index.ids.tolist(), "labels": list(index.truths)}
+    differing = sorted(k for k in expected.keys() | found.keys() if expected.get(k) != found.get(k))
+    if differing:
         raise RunnerError(
-            f"index dim {index.dimension} does not match embedding dim {dimension}"
-        )
-    ids = index.ids.tolist()
-    missing = [i for i in ids if i not in samples_by_id]
-    if missing:
-        raise RunnerError(f"index contains ids not in the corpus: {missing[:5]}")
-    relabelled = [
-        i for i, truth in zip(ids, index.truths) if truth != samples_by_id[i].truth
-    ]
-    if relabelled:
-        raise RunnerError(
-            f"index labels differ from the corpus truth for ids: {relabelled[:5]}"
+            f"index {path} does not match this run in {', '.join(differing)}; {REBUILD_HINT}"
         )
     return index
 
@@ -368,7 +382,9 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
     rankings: dict = {}
     if not RETRIEVAL_STRATEGIES.isdisjoint(config.strategies):
         if config.index_path:
-            index = _load_checked_index(config.index_path, backend.dimension, samples_by_id)
+            index = _load_checked_index(
+                config.index_path, corpus, backend, config.include_labels_in_index
+            )
         else:
             index = build_index_from_corpus(
                 corpus, backend, include_labels=config.include_labels_in_index

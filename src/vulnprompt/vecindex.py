@@ -1,9 +1,17 @@
-"""Exact flat vector index with cosine top-k retrieval.
+"""Exact flat vector index with cosine top-k retrieval, and its file format.
 
 Corpora in this task are small (hundreds to low thousands of functions), so
 brute-force search over a dense matrix is both the simplest and the fastest
-correct choice. Ties in similarity break by ascending sample id, which makes
-rankings reproducible and prefix-consistent across different k.
+correct choice. Rows rank by their float64 cosine similarity, and only
+bitwise-equal similarities tie; those break by ascending sample id, which
+makes rankings reproducible and prefix-consistent across different k. Two
+cosines that are equal in exact arithmetic can still round one ULP apart,
+and then rounding, not the id, picks their order (ROADMAP, "Exact retrieval
+for hashed vectors").
+
+An index file is one JSON header line (format, ids, label codes and the
+`built_from` stamp) followed by the matrix as one .npy payload, so the rows
+load bit for bit as they were held, and nothing in the file is unpickled.
 """
 
 from __future__ import annotations
@@ -14,9 +22,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import EmbeddingVector
-from .fileio import atomic_write_text
+from .embedding import NORM_TOLERANCE, EmbeddingVector
+from .fileio import atomic_open
 from .labels import UnknownLabelError, label_codes, label_set
+
+# The header's "format" value; a file whose first line lacks it is rejected.
+INDEX_FORMAT = "vulnprompt-index/1"
+REBUILD_HINT = "rebuild it with `vulnprompt index build`"
 
 
 class VecIndexError(ValueError):
@@ -46,54 +58,38 @@ class Neighbor:
     similarity: float
 
 
+@dataclass(frozen=True, eq=False)
 class VectorIndex:
     """Immutable index: one read-only float64 matrix, its row ids and truths.
 
     Row i of `matrix` is the unit vector of sample `ids[i]`, whose
     ground-truth labels are `truths[i]`. The matrix is the only copy of the
-    vectors; iterating yields entries whose vectors are read-only views of
-    its rows.
+    vectors. `built_from` is the provenance stamp of an index built from a
+    corpus (see `runner.index_stamp`), and None for one built from bare entries.
     """
 
-    def __init__(self, ids: np.ndarray, matrix: np.ndarray, truths: tuple) -> None:
-        self._ids = ids
-        self._matrix = matrix
-        self._truths = truths
+    ids: np.ndarray
+    matrix: np.ndarray
+    truths: tuple
+    built_from: dict | None = None
 
     @property
     def dimension(self) -> int:
-        return int(self._matrix.shape[1])
+        return int(self.matrix.shape[1])
 
     def __len__(self) -> int:
-        return len(self._truths)
-
-    def __iter__(self):
-        for sample_id, row, truth in zip(self._ids.tolist(), self._matrix, self._truths):
-            yield IndexEntry(
-                sample_id=sample_id, vector=EmbeddingVector(values=row), truth=truth
-            )
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
-
-    @property
-    def ids(self) -> np.ndarray:
-        return self._ids
-
-    @property
-    def truths(self) -> tuple:
-        return self._truths
+        return len(self.truths)
 
 
-def build(entries, count: int | None = None) -> VectorIndex:
+def build(entries, count: int | None = None, built_from: dict | None = None) -> VectorIndex:
     """Validate entries (non-empty, unique ids, equal dims) and build an index.
 
     `count` is the number of entries; a caller streaming a generator passes
-    it, and a collection may leave it out. The matrix is allocated once, at
-    the first entry, and each entry's vector is copied into its row as the
-    entry arrives, so the index keeps no reference to the entries and a
-    generator never has more than one vector alive beside the matrix.
+    it, and a collection may leave it out. `built_from` becomes the index's
+    provenance stamp. The matrix is allocated once, at the first entry, and
+    each entry's vector is copied into its row as the entry arrives, so the
+    index keeps no reference to the entries and a generator never has more
+    than one vector alive beside the matrix.
     """
     if count is None:
         entries = tuple(entries)
@@ -123,14 +119,16 @@ def build(entries, count: int | None = None) -> VectorIndex:
     if len(ids) != count:
         raise VecIndexError(f"got {len(ids)} entries, {count} announced")
     matrix.flags.writeable = False
-    return VectorIndex(np.array(ids), matrix, tuple(truths))
+    return VectorIndex(np.array(ids), matrix, tuple(truths), built_from)
 
 
 def top_k(index: VectorIndex, query: EmbeddingVector, k: int) -> list:
-    """Exact top-k by cosine similarity, ties broken by ascending sample id.
+    """Exact top-k by float64 cosine similarity.
 
-    Returns min(k, len(index)) neighbors in rank order. The ranking for k is
-    always a prefix of the ranking for k+1.
+    Bitwise-equal similarities break by ascending sample id; exactly equal
+    cosines that round apart keep their rounded order (see the module
+    docstring). Returns min(k, len(index)) neighbors in rank order. The
+    ranking for k is always a prefix of the ranking for k+1.
     """
     if k < 1:
         raise VecIndexError(f"k must be >= 1, got {k}")
@@ -155,53 +153,53 @@ def top_k(index: VectorIndex, query: EmbeddingVector, k: int) -> list:
 
 
 def save_index(index: VectorIndex, path: str | Path) -> None:
-    """Persist an index as JSONL: {"id", "vector", "labels"} per line."""
-    lines = [
-        json.dumps(
-            {"id": sample_id, "vector": row, "labels": label_codes(truth)},
-            sort_keys=True,
-        )
-        for sample_id, row, truth in zip(
-            index.ids.tolist(), index.matrix.tolist(), index.truths
-        )
-    ]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write one JSON header line, then the matrix as one .npy payload."""
+    labels = [label_codes(truth) for truth in index.truths]
+    header = {"format": INDEX_FORMAT, "ids": index.ids.tolist(), "labels": labels,
+              "built_from": index.built_from}
+    with atomic_open(path) as handle:
+        handle.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        np.lib.format.write_array(handle, index.matrix, allow_pickle=False)
 
 
 def load_index(path: str | Path) -> VectorIndex:
-    """Load a JSONL index file written by save_index."""
+    """Read a file written by save_index, checking every row at once."""
     if Path(path).is_dir():
-        raise VecIndexError(f"index path {path} is a directory, not a JSONL file")
-    entries: list[IndexEntry] = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise VecIndexError(f"line {line_no}: malformed JSON: {exc}") from None
-            if not isinstance(record, dict):
-                raise VecIndexError(f"line {line_no}: not a JSON object")
-            for key in ("id", "vector", "labels"):
-                if key not in record:
-                    raise VecIndexError(f"line {line_no}: missing field {key!r}")
-            try:
-                values = [float(v) for v in record["vector"]]
-            except (TypeError, ValueError, OverflowError):
-                raise VecIndexError(f"line {line_no}: vector is not a list of numbers") from None
-            codes = record["labels"]
-            if not isinstance(codes, list) or not all(isinstance(c, str) for c in codes):
-                raise VecIndexError(f"line {line_no}: labels is not a list of strings")
-            try:
-                truth = label_set(codes)
-            except UnknownLabelError as exc:
-                raise VecIndexError(f"line {line_no}: {exc}") from None
-            entries.append(
-                IndexEntry(
-                    sample_id=record["id"],
-                    vector=EmbeddingVector(values=values),
-                    truth=truth,
-                )
-            )
-    return build(entries)
+        raise VecIndexError(f"index path {path} is a directory, not an index file")
+    with open(path, "rb") as handle:
+        try:
+            header = json.loads(handle.readline())
+        except ValueError:  # not JSON, or not UTF-8
+            header = None
+        if not isinstance(header, dict) or header.get("format") != INDEX_FORMAT:
+            raise VecIndexError(f"{path} is not a {INDEX_FORMAT} file; {REBUILD_HINT}")
+        try:
+            matrix = np.lib.format.read_array(handle, allow_pickle=False)
+        except (ValueError, EOFError) as exc:
+            raise VecIndexError(f"{path}: unreadable matrix payload: {exc}") from None
+    ids, labels, built_from = (header.get(key) for key in ("ids", "labels", "built_from"))
+    if not (isinstance(ids, list) and ids and all(isinstance(i, str) and i for i in ids)
+            and len(set(ids)) == len(ids)):
+        raise VecIndexError(f"{path}: ids must be a non-empty list of unique non-empty strings")
+    if not isinstance(built_from, (dict, type(None))):
+        raise VecIndexError(f"{path}: built_from must be a mapping or null")
+    if not (isinstance(labels, list) and len(labels) == len(ids)
+            and all(isinstance(codes, list) and codes for codes in labels)):
+        raise VecIndexError(f"{path}: labels must hold one non-empty list of label codes per id")
+    try:
+        truths = tuple(label_set(codes) for codes in labels)
+    except UnknownLabelError as exc:
+        raise VecIndexError(f"{path}: labels: {exc}") from None
+    if (matrix.dtype != np.float64 or matrix.ndim != 2
+            or matrix.shape[0] != len(ids) or not matrix.shape[1]):
+        raise VecIndexError(
+            f"{path}: matrix is {matrix.dtype} {matrix.shape}, expected float64 ({len(ids)}, dim)"
+        )
+    # A NaN or infinite value makes its row's norm non-finite as well.
+    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOLERANCE))
+    if bad.size:
+        row = bad[0]
+        raise VecIndexError(f"{path}: row {ids[row]!r} has norm {float(norms[row])!r}, not 1.0")
+    matrix.flags.writeable = False
+    return VectorIndex(np.array(ids), matrix, truths, built_from)

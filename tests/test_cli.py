@@ -2,22 +2,25 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import vulnprompt
 from vulnprompt.cli import EXIT_DATA, EXIT_OK, EXIT_PROVIDER, EXIT_USAGE, main
-from vulnprompt.corpus import ingest
-from vulnprompt.embedding import EmbeddingInput, HashedBagOfTokensBackend
+from vulnprompt.corpus import dump_jsonl, ingest
+from vulnprompt.embedding import EmbeddingInput, EmbeddingVector, HashedBagOfTokensBackend
 from vulnprompt.llmclient import CACHE_FILENAME
 from vulnprompt.runner import build_index_from_corpus
-from vulnprompt.vecindex import load_index, save_index
+from vulnprompt.vecindex import IndexEntry, build, load_index, save_index
 
 
 @pytest.fixture()
@@ -165,52 +168,153 @@ def test_run_with_prebuilt_index(workdir):
     assert main(["run", "--config", str(config_path)]) == EXIT_OK
 
 
-def set_vector_head(record, value):
-    record["vector"][0] = value
+def read_index_file(path):
+    """The header and matrix of an index file."""
+    data = path.read_bytes()
+    head, _, payload = data.partition(b"\n")
+    return json.loads(head), np.load(io.BytesIO(payload))
 
 
-def set_labels(record, value):
-    record["labels"] = value
+def write_index_file(path, header, matrix):
+    with open(path, "wb") as handle:
+        handle.write(json.dumps(header).encode("utf-8") + b"\n")
+        np.save(handle, matrix, allow_pickle=matrix.dtype == object)
+
+
+def set_vector_head(header, matrix, value):
+    matrix[0, 0] = value
+    return header, matrix
+
+
+def set_vectors(header, matrix, value):
+    return header, matrix.astype(value)
+
+
+def set_labels(header, matrix, value):
+    header["labels"][0] = value
+    return header, matrix
 
 
 @pytest.mark.parametrize(
     ("corrupt", "value", "message"),
     [
-        (set_vector_head, float("nan"), "norm nan"),
-        (set_vector_head, "x", "vector is not a list of numbers"),
-        (set_labels, ["CWE-999"], "line 1: not an in-scope CWE label: 'CWE-999'"),
-        (set_labels, "CWE-119", "line 1: labels is not a list of strings"),
+        (set_vector_head, float("nan"), "has norm nan, not 1.0"),
+        (set_vectors, str, "matrix is <U"),
+        (set_labels, ["CWE-999"], "labels: not an in-scope CWE label: 'CWE-999'"),
+        (set_labels, "CWE-119", "labels must hold one non-empty list of label codes per id"),
     ],
     ids=["nan", "string", "unknown-label", "labels-not-a-list"],
 )
 def test_run_with_corrupt_index_value_exits_3(workdir, capsys, corrupt, value, message):
-    index_path = workdir / "index.jsonl"
+    index_path = workdir / "index.bin"
     config_path = write_config(workdir, index_path=str(index_path))
     assert main(["index", "build", "--config", str(config_path)]) == EXIT_OK
-    lines = index_path.read_text(encoding="utf-8").splitlines()
-    record = json.loads(lines[0])
-    corrupt(record, value)
-    lines[0] = json.dumps(record)
-    index_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_index_file(index_path, *corrupt(*read_index_file(index_path), value))
     capsys.readouterr()
     assert main(["run", "--config", str(config_path)]) == EXIT_DATA
     assert message in capsys.readouterr().err
 
 
 def test_run_with_index_labels_differing_from_corpus_exits_3(workdir, capsys):
-    index_path = workdir / "index.jsonl"
+    index_path = workdir / "index.bin"
     config_path = write_config(workdir, index_path=str(index_path))
     assert main(["index", "build", "--config", str(config_path)]) == EXIT_OK
-    lines = index_path.read_text(encoding="utf-8").splitlines()
-    record = json.loads(lines[0])
-    record["labels"] = ["CWE-469"] if record["labels"] != ["CWE-469"] else ["CWE-476"]
-    lines[0] = json.dumps(record)
-    index_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header, matrix = read_index_file(index_path)
+    header["labels"][0] = ["CWE-469"] if header["labels"][0] != ["CWE-469"] else ["CWE-476"]
+    write_index_file(index_path, header, matrix)
     capsys.readouterr()
     assert main(["run", "--config", str(config_path)]) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert "index labels differ from the corpus truth" in err
-    assert repr(record["id"]) in err
+    assert f"index {index_path} does not match this run in labels;" in capsys.readouterr().err
+
+
+def edit_train_code(workdir, index_path):
+    """Index the corpus, then edit every train snippet after the fact."""
+    corpus = ingest(workdir / "corpus.jsonl")
+    save_index(build_index_from_corpus(corpus, HashedBagOfTokensBackend(256)), index_path)
+    train = tuple(replace(s, code=s.code + "\n/* edited */") for s in corpus.train)
+    dump_jsonl(replace(corpus, train=train), workdir / "corpus.jsonl")
+
+
+def index_test_samples_too(workdir, index_path):
+    corpus = ingest(workdir / "corpus.jsonl")
+    leaky = replace(corpus, train=corpus.samples, test=())
+    save_index(build_index_from_corpus(leaky, HashedBagOfTokensBackend(256)), index_path)
+
+
+def index_with(**settings):
+    def prepare(workdir, index_path):
+        corpus = ingest(workdir / "corpus.jsonl")
+        backend = HashedBagOfTokensBackend(settings.get("dimension", 256))
+        labels = settings.get("include_labels", True)
+        save_index(build_index_from_corpus(corpus, backend, labels), index_path)
+
+    return prepare
+
+
+def old_jsonl_index(workdir, index_path):
+    corpus = ingest(workdir / "corpus.jsonl")
+    index = build_index_from_corpus(corpus, HashedBagOfTokensBackend(256))
+    lines = [
+        json.dumps({"id": i, "vector": row, "labels": ["CWE-119"]}, sort_keys=True)
+        for i, row in zip(index.ids.tolist(), index.matrix.tolist())
+    ]
+    index_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def unstamped_index(workdir, index_path):
+    corpus = ingest(workdir / "corpus.jsonl")
+    index = build_index_from_corpus(corpus, HashedBagOfTokensBackend(256))
+    entries = [
+        IndexEntry(sample_id=i, vector=EmbeddingVector(values=row), truth=truth)
+        for i, row, truth in zip(index.ids.tolist(), index.matrix, index.truths)
+    ]
+    save_index(build(entries), index_path)
+
+
+def truncated_payload(workdir, index_path):
+    index_with()(workdir, index_path)
+    index_path.write_bytes(index_path.read_bytes()[:-100])
+
+
+def object_payload(workdir, index_path):
+    index_with()(workdir, index_path)
+    header, matrix = read_index_file(index_path)
+    write_index_file(index_path, header, matrix.astype(object))
+
+
+@pytest.mark.parametrize(
+    ("prepare", "message"),
+    [
+        (index_with(include_labels=False), "does not match this run in include_labels;"),
+        (edit_train_code, "does not match this run in train_sha256;"),
+        (index_test_samples_too, "does not match this run in ids, labels, train_sha256;"),
+        (index_with(dimension=64), "does not match this run in dimension;"),
+        (old_jsonl_index, "is not a vulnprompt-index/1 file; rebuild it with `vulnprompt index"),
+        (unstamped_index, "has no built_from stamp; rebuild it with `vulnprompt index build`"),
+        (truncated_payload, "unreadable matrix payload"),
+        (object_payload, "unreadable matrix payload: Object arrays cannot be loaded"),
+    ],
+    ids=[
+        "labels-off",
+        "train-code-edited",
+        "test-samples-indexed",
+        "other-dimension",
+        "old-jsonl",
+        "unstamped",
+        "truncated-payload",
+        "object-payload",
+    ],
+)
+def test_run_with_a_mismatched_index_exits_3_naming_the_key(workdir, prepare, message):
+    index_path = workdir / "index.bin"
+    prepare(workdir, index_path)
+    config_path = write_config(
+        workdir, index_path=str(index_path), strategies=["retrieval_labeling"]
+    )
+    proc = run_cli("run", "--config", str(config_path))
+    assert proc.returncode == EXIT_DATA, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_run_unknown_config_key_is_usage_error(workdir, capsys):
@@ -325,8 +429,27 @@ def test_malformed_config_section_exits_1_without_traceback(workdir):
         ({"corpus_path": 5}, "corpus_path must be str, got int"),
         ({"include_labels_in_index": "false"}, "include_labels_in_index must be bool, got str"),
         ({"provider": {"type": "parrot", "temperature": -1}}, "temperature must be >= 0, got -1"),
+        (
+            {"provider": {"type": "parrot", "temperature": float("nan")}},
+            "temperature must be >= 0, got nan",
+        ),
+        (
+            {"provider": {"type": "parrot", "timeout_s": 0}},
+            "timeout_s must be a finite number > 0, got 0",
+        ),
+        (
+            {"provider": {"type": "parrot", "timeout_s": -1}},
+            "timeout_s must be a finite number > 0, got -1",
+        ),
     ],
-    ids=["int-corpus-path", "str-bool", "negative-temperature"],
+    ids=[
+        "int-corpus-path",
+        "str-bool",
+        "negative-temperature",
+        "nan-temperature",
+        "zero-timeout",
+        "negative-timeout",
+    ],
 )
 def test_mistyped_config_value_exits_1_without_traceback(workdir, overrides, message):
     config_path = write_config(workdir, **overrides)
@@ -354,18 +477,23 @@ def test_provider_missing_its_setting_exits_1(workdir, capsys, provider, message
 @pytest.mark.parametrize(
     "text, message",
     [
-        (b"not json", "not a run report: JSONDecodeError"),
-        (b'{"x": 1}', "not a run report: KeyError: 'template_id'"),
-        (b"[1]", "not a run report: TypeError"),
-        (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff"),
+        (b"not json", "{path}: not a run report: JSONDecodeError"),
+        (b'{"x": 1}', "{path}: not a run report: KeyError: 'template_id'"),
+        (b"[1]", "{path}: not a run report: TypeError"),
+        (b"\xff\xfe", "{path}: 'utf-8' codec can't decode byte 0xff"),
+        (None, "Is a directory: '{path}'"),
     ],
-    ids=["not-json", "missing-field", "not-an-object", "not-utf-8"],
+    ids=["not-json", "missing-field", "not-an-object", "not-utf-8", "directory"],
 )
 def test_report_from_a_malformed_report_exits_3(workdir, capsys, command, text, message):
+    """`text` None puts a directory where report.json belongs."""
     report_path = workdir / "report.json"
-    report_path.write_bytes(text)
+    if text is None:
+        report_path.mkdir()
+    else:
+        report_path.write_bytes(text)
     assert main(["report", command, "--run", str(workdir)]) == EXIT_DATA
-    assert f"{report_path}: {message}" in capsys.readouterr().err
+    assert message.format(path=report_path) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

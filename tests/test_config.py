@@ -206,10 +206,26 @@ def test_int_for_a_float_is_kept_as_written(tmp_path):
     "provider, message",
     [
         ({"temperature": -1}, "temperature must be >= 0, got -1"),
+        ({"temperature": float("nan")}, "temperature must be >= 0, got nan"),
+        ({"temperature": float("inf")}, "temperature must be finite, got inf"),
         ({"model_id": ""}, "model_id must be non-empty"),
         ({"max_output_tokens": 0}, "max_output_tokens must be >= 1, got 0"),
+        ({"timeout_s": 0}, "timeout_s must be a finite number > 0, got 0"),
+        ({"timeout_s": -2.5}, "timeout_s must be a finite number > 0, got -2.5"),
+        ({"timeout_s": float("nan")}, "timeout_s must be a finite number > 0, got nan"),
+        ({"timeout_s": float("inf")}, "timeout_s must be a finite number > 0, got inf"),
     ],
-    ids=["negative-temperature", "empty-model-id", "zero-max-output-tokens"],
+    ids=[
+        "negative-temperature",
+        "nan-temperature",
+        "infinite-temperature",
+        "empty-model-id",
+        "zero-max-output-tokens",
+        "zero-timeout",
+        "negative-timeout",
+        "nan-timeout",
+        "infinite-timeout",
+    ],
 )
 def test_provider_request_fields_checked_at_load(tmp_path, provider, message):
     with pytest.raises(ConfigError, match=f"invalid provider settings: {message}"):

@@ -31,6 +31,6 @@ def test_quick_start_cli_sequence_runs_verbatim(tmp_path, monkeypatch, capsys):
     (tmp_path / "config.yaml").write_text(config, encoding="utf-8")
     for line in commands.splitlines():
         assert main(shlex.split(line)[1:]) == EXIT_OK, line
-    assert (tmp_path / "index.jsonl").is_file()
+    assert (tmp_path / "index.bin").is_file()
     assert (tmp_path / "runs" / "demo" / "report.json").is_file()
     assert (tmp_path / "curves.json").is_file()

@@ -435,7 +435,7 @@ def test_index_dimension_mismatch_rejected(small_corpus_path, small_corpus, tmp_
         shot_counts=(1,),
         index_path=str(index_path),
     )
-    with pytest.raises(RunnerError, match="does not match embedding dim"):
+    with pytest.raises(RunnerError, match="does not match this run in dimension;"):
         run(config)
 
 

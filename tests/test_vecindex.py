@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import tracemalloc
@@ -17,6 +18,7 @@ from vulnprompt.labels import label_set
 from vulnprompt.runner import build_index_from_corpus
 from vulnprompt.synthetic import make_synthetic_corpus
 from vulnprompt.vecindex import (
+    INDEX_FORMAT,
     IndexEntry,
     VecIndexError,
     build,
@@ -47,8 +49,9 @@ def test_build_counts_and_order():
     entries = [entry("a", (1, 0)), entry("b", (0, 1)), entry("c", (1, 1))]
     index = build(entries)
     assert len(index) == 3
-    assert [e.sample_id for e in index] == ["a", "b", "c"]
+    assert index.ids.tolist() == ["a", "b", "c"]
     assert index.dimension == 2
+    assert index.built_from is None
 
 
 def test_build_rejects_empty():
@@ -177,7 +180,7 @@ def test_matches_brute_force_oracle_small():
     ids = [f"v{i:02d}" for i in range(60)]
     entries = [entry(i, v) for i, v in zip(ids, vectors)]
     index = build(entries)
-    stored = [tuple(e.vector.values) for e in index]
+    stored = [tuple(row) for row in index.matrix.tolist()]
     for _ in range(20):
         query = random_unit(rng, dim)
         expected = brute_force_top_k(ids, stored, query, 7)
@@ -187,62 +190,92 @@ def test_matches_brute_force_oracle_small():
             assert hit.similarity == pytest.approx(sim, abs=1e-12)
 
 
+# vecindex stores a stamp as given; only the runner compares it with a run's.
+STAMP = {"backend": "test", "include_labels": True, "train_sha256": "0" * 64}
+
+
 def test_save_load_round_trip(tmp_path):
     entries = [
         entry("a", (1, 0, 0), labels=("CWE-119", "CWE-476")),
         entry("b", (0, 1, 0), labels=("CWE-120",)),
     ]
-    index = build(entries)
-    path = tmp_path / "index.jsonl"
+    index = build(entries, built_from=STAMP)
+    path = tmp_path / "index.bin"
     save_index(index, path)
     loaded = load_index(path)
-    assert [e.sample_id for e in loaded] == ["a", "b"]
-    for original, reloaded in zip(index, loaded):
-        assert reloaded.vector == original.vector
-        assert reloaded.truth == original.truth
+    assert loaded.ids.tolist() == ["a", "b"]
+    assert loaded.truths == index.truths
+    assert loaded.built_from == STAMP
+    assert loaded.ids.dtype == index.ids.dtype
+    assert loaded.matrix.tobytes() == index.matrix.tobytes()  # bit-identical rows
 
 
 def test_save_load_save_gives_identical_bytes(tmp_path):
     rng = random.Random(5)
-    index = build([entry(f"s{i:02d}", random_unit(rng, 16)) for i in range(30)])
-    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    index = build([entry(f"s{i:02d}", random_unit(rng, 16)) for i in range(30)], built_from=STAMP)
+    first, second = tmp_path / "first.bin", tmp_path / "second.bin"
     save_index(index, first)
     save_index(load_index(first), second)
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_index_keeps_one_read_only_matrix():
+def test_index_keeps_one_read_only_matrix(tmp_path):
     index = build([entry("a", (1, 0)), entry("b", (0, 1)), entry("c", (1, 1))])
-    assert index.matrix.shape == (3, 2) and index.matrix.dtype == np.float64
-    with pytest.raises(ValueError, match="read-only"):
-        index.matrix[0, 0] = 0.0
-    for row, yielded in enumerate(index):
-        assert np.shares_memory(yielded.vector.values, index.matrix)
-        assert yielded.vector.values.tolist() == index.matrix[row].tolist()
+    save_index(index, tmp_path / "index.bin")
+    for held in (index, load_index(tmp_path / "index.bin")):
+        assert held.matrix.shape == (3, 2) and held.matrix.dtype == np.float64
         with pytest.raises(ValueError, match="read-only"):
-            yielded.vector.values[0] = 0.0
-    assert index.truths == (label_set(["CWE-119"]),) * 3
+            held.matrix[0, 0] = 0.0
+        assert held.truths == (label_set(["CWE-119"]),) * 3
 
 
 def test_load_rejects_malformed(tmp_path):
+    """A JSONL index from before the present format is refused, not read."""
     path = tmp_path / "index.jsonl"
-    path.write_text('{"id": "a"}\n', encoding="utf-8")
-    with pytest.raises(VecIndexError, match="missing field"):
+    path.write_text('{"id": "a", "vector": [1.0, 0.0], "labels": ["CWE-119"]}\n', encoding="utf-8")
+    with pytest.raises(VecIndexError, match="rebuild it with `vulnprompt index build`"):
         load_index(path)
 
 
+def write_index_file(path, header, matrix, allow_pickle=False):
+    """Write an index file by hand: a header line, then a .npy payload."""
+    with open(path, "wb") as handle:
+        handle.write(json.dumps(header).encode("utf-8") + b"\n")
+        np.save(handle, matrix, allow_pickle=allow_pickle)
+
+
+def good_header(**changes):
+    header = {
+        "format": INDEX_FORMAT,
+        "ids": ["a", "b"],
+        "labels": [["CWE-119"], ["CWE-120"]],
+        "built_from": STAMP,
+    }
+    header.update(changes)
+    return header
+
+
+GOOD_MATRIX = np.array([[1.0, 0.0], [0.0, 1.0]])
+
+
+def test_a_hand_written_index_file_loads(tmp_path):
+    write_index_file(tmp_path / "index.bin", good_header(), GOOD_MATRIX)
+    index = load_index(tmp_path / "index.bin")
+    assert index.ids.tolist() == ["a", "b"] and index.built_from == STAMP
+
+
 @pytest.mark.parametrize(
-    ("bad_line", "error"),
+    ("header", "matrix", "error"),
     [
-        ('{"id": "b", "vector": [0.0, "x"], "labels": ["CWE-119"]}', "line 2: vector is not"),
-        ('{"id": "b", "vector": [0.0, null], "labels": ["CWE-119"]}', "line 2: vector is not"),
-        ('{"id": "b", "vector": 1.0, "labels": ["CWE-119"]}', "line 2: vector is not"),
-        ('{"id": "b", "vector": [1%s, 0.0], "labels": ["CWE-119"]}' % ("0" * 400), "line 2: vector is not"),
-        ("[1, 2]", "line 2: not a JSON object"),
-        ('"idvectorlabels"', "line 2: not a JSON object"),
-        ('{"id": "b", "vector": [0.0, 1.0], "labels": ["CWE-999"]}', "line 2: not an in-scope CWE label"),
-        ('{"id": "b", "vector": [0.0, 1.0], "labels": "CWE-119"}', "line 2: labels is not a list of strings"),
-        ('{"id": "b", "vector": [0.0, 1.0], "labels": [119]}', "line 2: labels is not a list of strings"),
+        (good_header(), np.array([["1.0", "0.0"], ["0.0", "x"]]), "matrix is <U3"),
+        (good_header(), np.array([[1.0, 0.0], [0.0, None]], dtype=object), "Object arrays"),
+        (good_header(), np.array([1.0, 0.0]), r"matrix is float64 \(2,\)"),
+        (good_header(), np.array([[1.0, 0.0], [np.inf, 0.0]]), "row 'b' has norm inf"),
+        ([1, 2], GOOD_MATRIX, "is not a vulnprompt-index/1 file"),
+        ("idvectorlabels", GOOD_MATRIX, "is not a vulnprompt-index/1 file"),
+        (good_header(labels=[["CWE-119"], ["CWE-999"]]), GOOD_MATRIX, "labels: not an in-scope"),
+        (good_header(labels="CWE-119"), GOOD_MATRIX, "labels must hold one non-empty list"),
+        (good_header(labels=[["CWE-119"], [119]]), GOOD_MATRIX, "in-scope CWE label: 119"),
     ],
     ids=[
         "string-value",
@@ -256,11 +289,70 @@ def test_load_rejects_malformed(tmp_path):
         "labels-not-strings",
     ],
 )
-def test_load_rejects_malformed_numbers_with_line_number(tmp_path, bad_line, error):
-    path = tmp_path / "index.jsonl"
-    good = '{"id": "a", "vector": [1.0, 0.0], "labels": ["CWE-119"]}'
-    path.write_text(f"{good}\n{bad_line}\n", encoding="utf-8")
+def test_load_rejects_malformed_numbers_with_line_number(tmp_path, header, matrix, error):
+    """Each malformed value the JSONL codec refused by line number, in the
+    present file format: still refused, with the field named."""
+    path = tmp_path / "index.bin"
+    write_index_file(path, header, matrix, allow_pickle=matrix.dtype == object)
     with pytest.raises(VecIndexError, match=error):
+        load_index(path)
+
+
+@pytest.mark.parametrize(
+    ("header", "matrix", "error"),
+    [
+        (good_header(), np.array([[1.0, 0.0], [0.0, np.nan]]), "row 'b' has norm nan"),
+        (good_header(), np.array([[1.0, 0.0], [0.6, 0.6]]), "row 'b' has norm 0.84"),
+        (good_header(), np.array([[1.0, 0.0]]), r"matrix is float64 \(1, 2\)"),
+        (good_header(), np.zeros((2, 0)), r"matrix is float64 \(2, 0\)"),
+        (good_header(), np.zeros((2, 2, 1)), r"matrix is float64 \(2, 2, 1\)"),
+        (good_header(), np.array([[1, 0], [0, 1]]), "matrix is int64"),
+        (good_header(ids=["a", "a"]), GOOD_MATRIX, "ids must be a non-empty list of unique"),
+        (good_header(ids=["a", ""]), GOOD_MATRIX, "ids must be a non-empty list"),
+        (good_header(ids=[], labels=[]), GOOD_MATRIX[:0], "ids must be a non-empty list"),
+        (good_header(labels=[["CWE-119"], []]), GOOD_MATRIX, "labels must hold one non-empty list"),
+        (good_header(labels=[["CWE-119"]]), GOOD_MATRIX, "labels must hold one non-empty list"),
+        (good_header(built_from=[1]), GOOD_MATRIX, "built_from must be a mapping or null"),
+        (good_header(format="vulnprompt-index/2"), GOOD_MATRIX, "is not a vulnprompt-index/1 file"),
+    ],
+    ids=[
+        "nan",
+        "not-unit",
+        "too-few-rows",
+        "zero-dimension",
+        "three-axes",
+        "int-matrix",
+        "duplicate-id",
+        "empty-id",
+        "no-ids",
+        "empty-labels",
+        "labels-short",
+        "built-from-not-a-mapping",
+        "other-format",
+    ],
+)
+def test_load_rejects_an_inconsistent_index_file(tmp_path, header, matrix, error):
+    path = tmp_path / "index.bin"
+    write_index_file(path, header, matrix)
+    with pytest.raises(VecIndexError, match=error):
+        load_index(path)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda data: data[:-8],
+        lambda data: data[: data.index(b"\n") + 20],
+        lambda data: data[: data.index(b"\n") + 1],
+        lambda data: data[: data.index(b"\n") + 1] + b"\x80\x04not npy",
+    ],
+    ids=["truncated-rows", "truncated-npy-header", "no-payload", "pickle-payload"],
+)
+def test_load_rejects_a_damaged_payload(tmp_path, damage):
+    path = tmp_path / "index.bin"
+    save_index(build([entry("a", (1, 0)), entry("b", (0, 1))]), path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(VecIndexError, match="unreadable matrix payload"):
         load_index(path)
 
 
