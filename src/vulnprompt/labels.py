@@ -58,7 +58,11 @@ def sorted_labels(labels: Iterable[CweLabel]) -> list[CweLabel]:
 
 
 def label_codes(labels: Iterable[CweLabel]) -> list[str]:
-    return [label.value for label in sorted_labels(labels)]
+    """Label codes in ascending numeric order, duplicates collapsed.
+
+    A fresh list each call, copied from a tuple memoised per label set.
+    """
+    return list(_label_set_codes(frozenset(labels)))
 
 
 def format_labels(labels: Iterable[CweLabel]) -> str:
@@ -71,5 +75,10 @@ def format_labels(labels: Iterable[CweLabel]) -> str:
 
 
 @functools.cache
+def _label_set_codes(labels: frozenset) -> tuple:
+    return tuple(label.value for label in sorted_labels(labels))
+
+
+@functools.cache
 def _format_label_set(labels: frozenset) -> str:
-    return ", ".join(label_codes(labels))
+    return ", ".join(_label_set_codes(labels))

@@ -1,13 +1,15 @@
 """Completion providers with a content-addressed response cache.
 
 Experiments run the same prompts repeatedly while metrics and reports evolve,
-so every completion is cached under a key derived from the full request. Mock
-providers cover offline work: a fixed-text provider, a parrot that echoes the
-first shot's label line, and an oracle that answers from ground truth.
+so every completion is cached under a key derived from the full request: the
+prompt's SHA-256 plus the other request fields. Mock providers cover offline
+work: a fixed-text provider, a parrot that echoes the first shot's label
+line, and an oracle that answers from ground truth.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -22,7 +24,7 @@ from typing import Protocol
 
 from ._http import JsonPostClient
 from .labels import format_labels
-from .prompting import extract_test_code, shot_label_lines
+from .prompting import extract_test_code, prompt_hash, shot_label_lines
 
 
 class ProviderError(Exception):
@@ -68,17 +70,28 @@ class CompletionRequest:
                 f"max_output_tokens must be >= 1, got {self.max_output_tokens}"
             )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "model_id": self.model_id,
-            "prompt": self.prompt,
-            "temperature": self.temperature,
-            "max_output_tokens": self.max_output_tokens,
-        }
+    @functools.cached_property
+    def prompt_sha256(self) -> str:
+        """The prompt's `prompt_hash`, computed once per request."""
+        return prompt_hash(self.prompt)
 
     def cache_key(self) -> str:
-        canonical = json.dumps(self.to_json_dict(), sort_keys=True)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        """SHA-256 over the JSON of every field but the prompt, plus the
+        prompt's SHA-256 hex digest.
+
+        The JSON keeps each value's type, so temperature 0 and 0.0 key apart.
+        The digest is the one a record stores as its prompt_hash, so the
+        prompt text is hashed once and never JSON-encoded.
+        """
+        head = json.dumps(
+            {
+                "model_id": self.model_id,
+                "temperature": self.temperature,
+                "max_output_tokens": self.max_output_tokens,
+            },
+            sort_keys=True,
+        )
+        return hashlib.sha256(f"{head}{self.prompt_sha256}".encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -99,6 +112,10 @@ class Provider(Protocol):
 
 
 CACHE_FILENAME = "responses.sqlite3"
+# PRAGMA user_version of a cache file whose rows are keyed by
+# CompletionRequest.cache_key as it is now. A file holding rows under an
+# earlier key format (stamp 0) would miss on every lookup, so it is refused.
+CACHE_KEY_FORMAT = 1
 # How long a statement waits for another connection's lock before failing.
 _BUSY_TIMEOUT_S = 5.0
 
@@ -114,9 +131,11 @@ def _decode_text(raw: bytes) -> str | None:
 class ResponseCache:
     """Responses keyed by request hash, in one SQLite file under the cache root.
 
-    Rows hold only the key and the response text. The connection belongs to
-    the thread that opened the cache, and every put commits on its own, so an
-    interrupted batch keeps each answer stored before the interruption.
+    Rows hold only the key and the response text, and the file's
+    `PRAGMA user_version` names the key format the rows were stored under.
+    The connection belongs to the thread that opened the cache, and every put
+    commits on its own, so an interrupted batch keeps each answer stored
+    before the interruption.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -140,15 +159,39 @@ class ResponseCache:
             raise self._unusable(exc) from None
         self._db.text_factory = _decode_text
         try:
+            # Checked before the journal mode is set, which rewrites the
+            # header of a file that is then refused.
+            self._execute("BEGIN IMMEDIATE")
+            self._check_or_stamp_key_format()
+            self._execute("COMMIT")
             self._execute("PRAGMA journal_mode=WAL")
             self._execute("PRAGMA synchronous=NORMAL")
+        except CacheError:
+            self._db.close()  # rolls back an open transaction
+            raise
+
+    def _check_or_stamp_key_format(self) -> None:
+        """Create and stamp the table in a new file; refuse one keyed otherwise.
+
+        Runs inside a write transaction, so two processes opening one new
+        file cannot see each other's table before its stamp.
+        """
+        ((stamp,),) = self._execute("PRAGMA user_version")
+        tables = self._execute(
+            "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'responses'"
+        )
+        if tables and stamp != CACHE_KEY_FORMAT:
+            raise CacheError(
+                f"cache database {self.path} holds responses under another key "
+                f"format (user_version {stamp}, not {CACHE_KEY_FORMAT}), which "
+                "would miss on every lookup; use a new cache_dir or delete the file"
+            )
+        if not tables:
             self._execute(
-                "CREATE TABLE IF NOT EXISTS responses "
+                "CREATE TABLE responses "
                 "(key TEXT PRIMARY KEY, response TEXT) WITHOUT ROWID"
             )
-        except CacheError:
-            self._db.close()
-            raise
+            self._execute(f"PRAGMA user_version = {CACHE_KEY_FORMAT}")
 
     def _unusable(self, exc: sqlite3.Error) -> CacheError:
         return CacheError(f"unusable cache database {self.path}: {exc}")
@@ -197,14 +240,16 @@ def complete(
     """Resolve a batch of requests; results come back in input order.
 
     Each request's cache key is computed once and serves both its lookup and,
-    on a miss, its store. Every cache lookup finishes on the calling thread
-    before any miss is fetched, so identical requests in one batch all miss
-    together; requests are not de-duplicated. Misses go to the provider on a pool of
-    min(provider.max_in_flight, misses) threads, or in order on the calling
-    thread when that is 1, as it is for the in-process mocks. The calling
-    thread stores each fresh answer as it takes it, in input order, so no
-    worker touches the cache and an exception after the Nth answer leaves the
-    first N-1 stored. Each result is a CompletionResult, or the ProviderError
+    on a miss, its store. The key is built on the prompt's SHA-256, which the
+    request keeps as `prompt_sha256` for the caller's record, so a prompt is
+    hashed once and never JSON-encoded. Every cache lookup finishes on the
+    calling thread before any miss is fetched, so identical requests in one
+    batch all miss together; requests are not de-duplicated. Misses go to the
+    provider on a pool of min(provider.max_in_flight, misses) threads, or in
+    order on the calling thread when that is 1, as it is for the in-process
+    mocks. The calling thread stores each fresh answer as it takes it, in
+    input order, so no worker touches the cache and an exception after the
+    Nth answer leaves the first N-1 stored. Each result is a CompletionResult, or the ProviderError
     that request raised; refusals are never retried or cached, and retry
     policy for transport errors lives inside remote providers. Any other
     exception propagates.

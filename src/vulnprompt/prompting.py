@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import math
 import random
 import re
 
@@ -52,21 +53,48 @@ _PREAMBLE = (
 )
 
 
-def select_random(pool, k: int, seed: int, test_id: str) -> tuple:
-    """Draw k distinct shots from the train pool, deterministically per test id.
+def _sample_takes_pool_branch(n: int, k: int) -> bool:
+    """Whether random.sample(range(n), k) draws from a shrinking copy of the
+    population (its pool branch) rather than by rejection against a set.
 
-    The RNG is seeded from (seed, test_id) so each test sample sees its own
-    reproducible draw and reruns are bit-stable.
+    Mirrors CPython's threshold in random.sample. Within one branch, a draw
+    of k from a given seed is the first k picks of any larger draw from that
+    seed; across the two branches it is not.
+    """
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    return n <= setsize
+
+
+def select_random(pool, shot_counts, seed: int, test_id: str) -> dict:
+    """Draw k distinct shots from the train pool for each k in shot_counts,
+    deterministically per test id; returns {k: shots}.
+
+    Each k's shots are random.Random(s).sample(range(len(pool)), k) mapped
+    onto the pool, where s is derived from (seed, test_id), so each test
+    sample sees its own reproducible draw and reruns are bit-stable. The
+    shot counts whose sample takes the same branch share one draw at the
+    largest of them and take prefixes of it, so a test costs at most two
+    draws.
     """
     pool = tuple(pool)
-    if k < 1:
-        raise PromptError(f"k must be >= 1, got {k}")
-    if k > len(pool):
-        raise PromptError(f"cannot draw {k} shots from a pool of {len(pool)}")
+    by_branch: dict = {}
+    for k in shot_counts:
+        if k < 1:
+            raise PromptError(f"k must be >= 1, got {k}")
+        if k > len(pool):
+            raise PromptError(f"cannot draw {k} shots from a pool of {len(pool)}")
+        by_branch.setdefault(_sample_takes_pool_branch(len(pool), k), []).append(k)
     digest = hashlib.blake2b(f"{seed}:{test_id}".encode("utf-8"), digest_size=8).digest()
-    rng = random.Random(int.from_bytes(digest, "big"))
-    picks = rng.sample(range(len(pool)), k)
-    return tuple(pool[i] for i in picks)
+    rng_seed = int.from_bytes(digest, "big")
+    shots = {}
+    for ks in by_branch.values():
+        picks = random.Random(rng_seed).sample(range(len(pool)), max(ks))
+        drawn = tuple(pool[i] for i in picks)
+        for k in ks:
+            shots[k] = drawn[:k]
+    return shots
 
 
 def shots_from_neighbors(neighbors, samples_by_id, order: ShotOrder) -> tuple:

@@ -56,7 +56,6 @@ from .prompting import (
     PROMPT_STRATEGIES,
     ShotOrder,
     Strategy,
-    prompt_hash,
     render,
     select_random,
     shots_from_neighbors,
@@ -253,7 +252,16 @@ def build_index_from_corpus(
     corpus: Corpus, backend, include_labels: bool = True
 ) -> VectorIndex:
     """Embed every train sample and assemble the retrieval index, stamped
-    with index_stamp.
+    with index_stamp so that a saved copy can be checked when it is loaded.
+    """
+    stamp = index_stamp(corpus, backend, include_labels)
+    return _embed_train_split(corpus, backend, include_labels, built_from=stamp)
+
+
+def _embed_train_split(
+    corpus: Corpus, backend, include_labels: bool, built_from: dict | None = None
+) -> VectorIndex:
+    """Embed every train sample into an index stamped with `built_from`.
 
     With include_labels on, each sample's labels are appended to the text
     before embedding, so samples sharing a label sit closer together.
@@ -272,8 +280,7 @@ def build_index_from_corpus(
         )
         for sample in corpus.train
     )
-    stamp = index_stamp(corpus, backend, include_labels)
-    return build(entries, count=len(corpus.train), built_from=stamp)
+    return build(entries, count=len(corpus.train), built_from=built_from)
 
 
 def build_backend(config: ExperimentConfig):
@@ -329,19 +336,20 @@ def _load_checked_index(path, corpus: Corpus, backend, include_labels: bool) -> 
     return index
 
 
-def _record(test_id, strategy, k, neighbors, prompt, result) -> PredictionRecord:
+def _record(test_id, strategy, k, neighbors, request, result) -> PredictionRecord:
     """Build one record from a planned sample and what resolved it.
 
-    `result` is a label set for retrieval labeling (which has no prompt), and
-    a CompletionResult or a ProviderError for the prompt strategies.
+    `result` is a label set for retrieval labeling (which has no request),
+    and a CompletionResult or a ProviderError for the prompt strategies. The
+    record's prompt_hash is the digest the request's cache key was built on.
     """
     fields = dict(test_id=test_id, strategy=strategy, k=k)
     if neighbors is not None:
         fields["neighbor_ids"] = tuple(n.sample_id for n in neighbors)
         fields["similarities"] = tuple(n.similarity for n in neighbors)
-    if prompt is None:
+    if request is None:
         return PredictionRecord(pred=result, **fields)
-    fields["prompt_hash"] = prompt_hash(prompt)
+    fields["prompt_hash"] = request.prompt_sha256
     if isinstance(result, ProviderError):
         return PredictionRecord(pred=frozenset(), error=str(result), **fields)
     outcome = parse_labels(result.text)
@@ -386,12 +394,20 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
                 config.index_path, corpus, backend, config.include_labels_in_index
             )
         else:
-            index = build_index_from_corpus(
-                corpus, backend, include_labels=config.include_labels_in_index
-            )
+            # Never saved, so never checked: it needs no provenance stamp.
+            index = _embed_train_split(corpus, backend, config.include_labels_in_index)
         for sample in corpus.test:
             query = backend.embed(EmbeddingInput(code=sample.code))
             rankings[sample.id] = top_k(index, query, max_k)
+
+    # Each test sample's random shots for every shot count come from at most
+    # two draws (see select_random), made once rather than once per cell.
+    random_shots: dict = {}
+    if Strategy.RANDOM_FEW_SHOT in config.strategies:
+        for sample in corpus.test:
+            random_shots[sample.id] = select_random(
+                corpus.train, config.shot_counts, config.seed, sample.id
+            )
 
     if provider is None and not PROMPT_STRATEGIES.isdisjoint(config.strategies):
         provider = _build_provider(config, corpus)
@@ -400,32 +416,30 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
     partial_path = output_dir / "records.partial.jsonl"
 
     def plan(sample, strategy: Strategy, k: int) -> tuple:
-        """One test sample's neighbours and, unless it labels by retrieval, prompt."""
+        """One test sample's neighbours and, unless it labels by retrieval,
+        the completion request for its prompt."""
         neighbors = rankings[sample.id][:k] if strategy in RETRIEVAL_STRATEGIES else None
         if strategy is Strategy.RETRIEVAL_LABELING:
             return neighbors, None
         if strategy is Strategy.ZERO_SHOT:
             shots = ()
         elif strategy is Strategy.RANDOM_FEW_SHOT:
-            shots = select_random(corpus.train, k, config.seed, sample.id)
+            shots = random_shots[sample.id][k]
         else:
             shots = shots_from_neighbors(neighbors, samples_by_id, config.shot_order)
-        return neighbors, render(shots, sample.code)
+        request = CompletionRequest(
+            model_id=config.provider.model_id,
+            prompt=render(shots, sample.code),
+            temperature=config.provider.temperature,
+            max_output_tokens=config.provider.max_output_tokens,
+        )
+        return neighbors, request
 
     def resolve(strategy: Strategy, plans) -> list:
         """Label every planned sample of one cell, in test-split order."""
         if strategy is Strategy.RETRIEVAL_LABELING:
             return [retrieval_label(neighbors, samples_by_id) for neighbors, _ in plans]
-        requests = [
-            CompletionRequest(
-                model_id=config.provider.model_id,
-                prompt=prompt,
-                temperature=config.provider.temperature,
-                max_output_tokens=config.provider.max_output_tokens,
-            )
-            for _, prompt in plans
-        ]
-        results = complete(requests, provider, cache)
+        results = complete([request for _, request in plans], provider, cache)
         failure = next((r for r in results if isinstance(r, ProviderError)), None)
         if config.strict and failure is not None:
             raise StrictRunError(

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
+import sqlite3
 import subprocess
 import sys
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 
@@ -413,6 +416,34 @@ def test_run_with_old_layout_cache_dir_exits_3(workdir, capsys):
     assert f"cache root {cache_dir} holds *.json entries" in err
     assert "use a new cache_dir or delete those files" in err
     assert not (cache_dir / CACHE_FILENAME).exists()
+
+
+def test_cache_keyed_by_an_earlier_format_exits_3(workdir):
+    # A cache file written before keys hashed the prompt digest: the table,
+    # one row under the old JSON-of-the-request key, and no user_version stamp.
+    cache_dir = workdir / "cache"
+    cache_dir.mkdir()
+    database = cache_dir / CACHE_FILENAME
+    old_key = hashlib.sha256(
+        json.dumps(
+            {"max_output_tokens": 128, "model_id": "m", "prompt": "p", "temperature": 0.0},
+            sort_keys=True,
+        ).encode("utf-8")
+    ).hexdigest()
+    with closing(sqlite3.connect(database)) as raw, raw:
+        raw.execute("CREATE TABLE responses (key TEXT PRIMARY KEY, response TEXT) WITHOUT ROWID")
+        raw.execute("INSERT INTO responses VALUES (?, ?)", (old_key, "CWE-119"))
+    before = database.read_bytes()
+    config_path = write_config(workdir, cache_dir=str(cache_dir))
+
+    for args in (("run", "--config", str(config_path)), ("cache", "stats", "--cache-dir", str(cache_dir))):
+        proc = run_cli(*args)
+        assert proc.returncode == EXIT_DATA, args
+        assert f"cache database {database} holds responses under another key format" in proc.stderr
+        assert "use a new cache_dir or delete the file" in proc.stderr
+        assert "Traceback" not in proc.stderr
+    assert database.read_bytes() == before
+    assert not (workdir / "out" / "records.jsonl").exists()
 
 
 def test_malformed_config_section_exits_1_without_traceback(workdir):

@@ -78,3 +78,11 @@ def test_sorted_labels_is_ascending(labels):
 @given(st.sets(st.sampled_from(list(CweLabel)), min_size=1))
 def test_format_round_trips_through_codes(labels):
     assert label_set(label_codes(labels)) == frozenset(labels)
+
+
+def test_label_codes_returns_a_fresh_list_each_call():
+    labels = frozenset({CweLabel.CWE_476, CweLabel.CWE_119})
+    codes = label_codes(labels)
+    codes.append("CWE-999")
+    assert label_codes(labels) == ["CWE-119", "CWE-476"]
+    assert label_codes([CweLabel.CWE_469, CweLabel.CWE_469]) == ["CWE-469"]

@@ -28,7 +28,7 @@ from vulnprompt.llmclient import (
     _CountingProvider,
     complete,
 )
-from vulnprompt.prompting import render
+from vulnprompt.prompting import prompt_hash, render
 
 
 class StubResponse:
@@ -91,6 +91,7 @@ def test_cache_key_sensitive_to_every_field():
     assert base.cache_key() == request().cache_key()
     assert base.cache_key() != request(prompt="Other.").cache_key()
     assert base.cache_key() != request(max_output_tokens=64).cache_key()
+    assert base.cache_key() != request(temperature=0).cache_key()
     assert (
         base.cache_key()
         != CompletionRequest(model_id="other-model", prompt="Classify this.").cache_key()
@@ -98,10 +99,36 @@ def test_cache_key_sensitive_to_every_field():
 
 
 def test_cache_key_bytes_are_stable():
-    # Existing responses.sqlite3 files are keyed by these bytes.
-    assert request().cache_key() == (
-        "3a1d0dd69e34cae0ce670824801aa48120e7e8332de3553bb46ca343c6dbdfcb"
+    # responses.sqlite3 files stamped with CACHE_KEY_FORMAT are keyed by these
+    # bytes: SHA-256 over '{"max_output_tokens": 128, "model_id":
+    # "detector-model", "temperature": 0.0}' followed by the prompt's SHA-256.
+    req = request()
+    assert req.prompt_sha256 == prompt_hash("Classify this.") == (
+        "9fb024293035790c45d89f2d98cd030b4d42ab41740a737831c86a3b4f94908b"
     )
+    assert req.cache_key() == (
+        "3055acc1ebcf552e538d3e206329a5b48c4df7461430bc3e2bd6cf55eb0ef64c"
+    )
+
+
+def test_new_cache_file_is_stamped_with_the_key_format(tmp_path):
+    ResponseCache(tmp_path / "cache").close()
+    with closing(sqlite3.connect(tmp_path / "cache" / llmclient.CACHE_FILENAME)) as raw:
+        assert raw.execute("PRAGMA user_version").fetchone() == (llmclient.CACHE_KEY_FORMAT,)
+    ResponseCache(tmp_path / "cache").close()  # a stamped file reopens
+
+
+@pytest.mark.parametrize("stamp", [0, llmclient.CACHE_KEY_FORMAT + 1])
+def test_cache_file_under_another_key_format_is_refused(tmp_path, stamp):
+    path = tmp_path / llmclient.CACHE_FILENAME
+    with closing(sqlite3.connect(path)) as raw, raw:
+        raw.execute("CREATE TABLE responses (key TEXT PRIMARY KEY, response TEXT) WITHOUT ROWID")
+        raw.execute("INSERT INTO responses VALUES ('k', 'CWE-119')")
+        raw.execute(f"PRAGMA user_version = {stamp}")
+    before = path.read_bytes()
+    with pytest.raises(CacheError, match=f"cache database {path} holds responses"):
+        ResponseCache(tmp_path)
+    assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])

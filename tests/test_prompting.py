@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from vulnprompt.config import DEFAULT_SHOT_COUNTS
 from vulnprompt.corpus import CodeSample
 from vulnprompt.embedding import EmbeddingInput
 from vulnprompt.labels import label_set
@@ -48,14 +52,14 @@ def test_strategy_partition():
 
 def test_select_random_deterministic():
     pool = make_pool(20)
-    a = select_random(pool, 5, seed=3, test_id="q1")
-    b = select_random(pool, 5, seed=3, test_id="q1")
+    a = select_random(pool, (5,), seed=3, test_id="q1")
+    b = select_random(pool, (5,), seed=3, test_id="q1")
     assert a == b
 
 
 def test_select_random_distinct_shots():
     pool = make_pool(10)
-    shots = select_random(pool, 10, seed=0, test_id="q")
+    shots = select_random(pool, (10,), seed=0, test_id="q")[10]
     assert len(set(s.code for s in shots)) == 10
     assert sorted(s.code for s in shots) == sorted(s.code for s in pool)
 
@@ -63,14 +67,14 @@ def test_select_random_distinct_shots():
 def test_select_random_rejects_oversized_k():
     pool = make_pool(3)
     with pytest.raises(PromptError, match="pool of 3"):
-        select_random(pool, 4, seed=0, test_id="q")
+        select_random(pool, (1, 4), seed=0, test_id="q")
 
 
 def test_select_random_seed_sensitivity():
     pool = make_pool(30)
     differs = any(
-        select_random(pool, 3, seed=1, test_id=f"q{i}")
-        != select_random(pool, 3, seed=2, test_id=f"q{i}")
+        select_random(pool, (3,), seed=1, test_id=f"q{i}")
+        != select_random(pool, (3,), seed=2, test_id=f"q{i}")
         for i in range(100)
     )
     assert differs
@@ -79,10 +83,34 @@ def test_select_random_seed_sensitivity():
 def test_select_random_per_test_independence():
     pool = make_pool(30)
     draws = {
-        test_id: select_random(pool, 3, seed=1, test_id=test_id)
+        test_id: select_random(pool, (3,), seed=1, test_id=test_id)[3]
         for test_id in ("a", "b", "c", "d")
     }
     assert len(set(draws.values())) > 1
+
+
+def reference_draw(n, k, seed, test_id):
+    """One random.sample per k, seeded from (seed, test_id) as select_random seeds it."""
+    digest = hashlib.blake2b(f"{seed}:{test_id}".encode("utf-8"), digest_size=8).digest()
+    return tuple(random.Random(int.from_bytes(digest, "big")).sample(range(n), k))
+
+
+@given(
+    st.integers(1, 300).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n), min_size=1, max_size=25))
+    ),
+    st.integers(0, 2**32),
+    st.text(max_size=8),
+)
+# Pool sizes where random.sample switches algorithm between shot counts 1 and
+# 20, so a single draw at the largest k would give other prefixes.
+@example((22, set(DEFAULT_SHOT_COUNTS)), 0, "q")
+@example((40, set(DEFAULT_SHOT_COUNTS)), 7, "t001")
+@example((85, {5, 20}), 3, "x")
+def test_select_random_equals_one_sample_per_shot_count(pool_and_ks, seed, test_id):
+    n, shot_counts = pool_and_ks
+    shots = select_random(range(n), sorted(shot_counts), seed, test_id)
+    assert shots == {k: reference_draw(n, k, seed, test_id) for k in shot_counts}
 
 
 def test_shots_from_neighbors_follow_top_k_order(

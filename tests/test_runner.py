@@ -10,8 +10,8 @@ from contextlib import closing
 
 import pytest
 
-from vulnprompt import llmclient, runner
-from vulnprompt.config import ExperimentConfig, ProviderSettings
+from vulnprompt import llmclient, prompting, runner
+from vulnprompt.config import DEFAULT_SHOT_COUNTS, ExperimentConfig, ProviderSettings
 from vulnprompt.corpus import dump_jsonl, ingest
 from vulnprompt.embedding import EmbeddingInput
 from vulnprompt.labels import label_set
@@ -489,6 +489,55 @@ def test_warm_replay_starts_no_worker_thread(
     assert [dataclasses.replace(r, cached=None) for r in records] == [
         dataclasses.replace(r, cached=None) for r in filled
     ]
+
+
+def test_warm_replay_hashes_each_prompt_once_and_never_json_encodes_one(
+    synthetic_corpus_path, tmp_path, monkeypatch
+):
+    config = make_config(
+        synthetic_corpus_path,
+        tmp_path / "out",
+        strategies=(
+            Strategy.RANDOM_FEW_SHOT,
+            Strategy.RETRIEVAL_FEW_SHOT,
+            Strategy.RETRIEVAL_LABELING,
+        ),
+        shot_counts=DEFAULT_SHOT_COUNTS,
+        seed=7,
+        cache_dir=str(tmp_path / "cache"),
+    )
+    run(config, provider=ParrotProvider())
+
+    real_prompt_hash = prompting.prompt_hash
+    hashed = []
+
+    def counting_prompt_hash(text):
+        hashed.append(text)
+        return real_prompt_hash(text)
+
+    for module in (prompting, llmclient, runner):
+        if hasattr(module, "prompt_hash"):
+            monkeypatch.setattr(module, "prompt_hash", counting_prompt_hash)
+    real_dumps = json.dumps
+    encoded_prompts = []
+
+    def checking_dumps(obj, *args, **kwargs):
+        text = real_dumps(obj, *args, **kwargs)
+        if "You are a code vulnerability detector" in text:
+            encoded_prompts.append(text)
+        return text
+
+    monkeypatch.setattr(json, "dumps", checking_dumps)
+    report = run(config, provider=ParrotProvider())
+    assert report.provider_calls == 0
+    prompted = [
+        r.prompt_hash
+        for r in load_records(tmp_path / "out" / "records.jsonl")
+        if r.prompt_hash is not None
+    ]
+    assert len(prompted) == 2 * len(DEFAULT_SHOT_COUNTS) * 26
+    assert sorted(map(real_prompt_hash, hashed)) == sorted(prompted)
+    assert encoded_prompts == []
 
 
 def test_cold_mock_run_fetches_misses_on_the_calling_thread(
