@@ -57,20 +57,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 def _cmd_ingest(args) -> int:
     corpus = ingest(args.input)
     report = validate(corpus)
-    stats = corpus.stats
-    payload = {
-        "train_size": report.train_size,
-        "test_size": report.test_size,
-        "label_counts": report.label_counts,
-        "warnings": list(report.warnings),
-        "stats": {
-            "total_records": stats.total_records,
-            "retained": stats.retained,
-            "dropped_non_vulnerable": stats.dropped_non_vulnerable,
-            "dropped_out_of_scope_only": stats.dropped_out_of_scope_only,
-            "out_of_scope_counts": stats.out_of_scope_counts,
-        },
-    }
+    payload = {**dataclasses.asdict(report), "stats": dataclasses.asdict(corpus.stats)}
     _write_or_print(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.report)
     return EXIT_OK
 

@@ -178,7 +178,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     """Load an ExperimentConfig from a YAML file, checking each key against its annotation."""
     try:
         raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed YAML in {path}: {exc}") from None

@@ -12,6 +12,7 @@ dropped during ingestion and counted in the stats.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,6 +21,11 @@ from .fileio import atomic_write_text
 from .labels import ALL_LABELS, CweLabel, is_in_scope, label_codes, label_set
 
 SPLITS = ("train", "test")
+
+# Read under errors="surrogateescape", each byte that is not UTF-8 becomes one
+# of these lone surrogates, which no valid UTF-8 decodes to. An ASCII line
+# holds none, so it needs no scan.
+_UNDECODED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 class IngestError(ValueError):
@@ -92,8 +98,9 @@ class ValidationReport:
 def ingest(path: str | Path) -> Corpus:
     """Read a JSONL corpus file, filter labels to scope, and split records.
 
-    Blank lines are skipped. Malformed JSON, missing fields, duplicate ids,
-    and unknown split names raise IngestError with the offending line number.
+    Blank lines are skipped. Bytes that are not UTF-8, malformed JSON,
+    missing fields, duplicate ids, and unknown split names raise IngestError
+    with the offending line number.
     """
     train: list[CodeSample] = []
     test: list[CodeSample] = []
@@ -105,10 +112,12 @@ def ingest(path: str | Path) -> Corpus:
 
     if Path(path).is_dir():
         raise IngestError(f"corpus path {path} is a directory, not a JSONL file")
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
+            if not line.isascii() and _UNDECODED_BYTE.search(line):
+                raise IngestError(f"{path}: line {line_no}: not UTF-8 text")
             total += 1
             try:
                 record = json.loads(line)

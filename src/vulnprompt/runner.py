@@ -5,15 +5,24 @@ test sample, records one PredictionRecord per evaluation, aggregates metrics
 per (strategy, k) cell, and writes three artifacts atomically: a JSONL
 prediction log, a JSON report, and a CSV table.
 
+A run first sets up what its strategies use: the provider and the response
+cache only when a prompt strategy runs, and before any index read or embed
+call, so a bad setting for either fails before that work. It then walks one
+flat list of (strategy, k) cells, zero_shot being the single k=0 cell.
+
 Every cell, whatever its strategy, takes one path. Plan: each test sample
 gets its neighbours (retrieval strategies) and its shots, rendered into a
 prompt unless the cell labels by retrieval. Resolve: the prompts go to one
 llmclient.complete call, or retrieval labeling unions the neighbours' labels.
 Score and write: one constructor turns each sample's plan and result into a
-record, in test-split order; the records are appended to a hidden temp file
-in the output directory, scored, and dropped before the next cell starts. The
-file is renamed to records.jsonl when the run ends, so a run never holds more
-than one cell's records.
+record, in test-split order; the records are streamed through
+fileio.atomic_open towards records.partial.jsonl, scored, and dropped before
+the next cell starts, so a run never holds more than one cell's records.
+
+That file lands whole when the loop ends, holding exactly the finished cells.
+On success it is renamed to records.jsonl. Under strict mode the first cell
+with a provider failure ends the loop unwritten, and the landed file is the
+checkpoint. Any other exception lands nothing and changes no earlier file.
 
 The provider decides how its cache misses run: the in-process mocks answer
 inline, and the remote provider keeps at most its max_in_flight requests
@@ -27,17 +36,18 @@ perturb the payload.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
-import tempfile
 import time
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig
 from .corpus import Corpus, ingest
 from .embedding import EmbeddingInput, HashedBagOfTokensBackend, RemoteEmbeddingBackend
-from .fileio import atomic_write_text
+from .fileio import atomic_open, atomic_write_text
 from .labeling import ParseOutcome, parse_labels, retrieval_label
 from .labels import format_labels, label_codes, label_set
 from .llmclient import (
@@ -62,28 +72,18 @@ from .prompting import (
 )
 from .vecindex import REBUILD_HINT, IndexEntry, VectorIndex, build, load_index, top_k
 
-TABLE_COLUMNS = (
-    "strategy",
-    "k",
-    "subset_accuracy",
-    "hamming_accuracy",
-    "partial_match",
-    "precision",
-    "recall",
-    "f1",
-    "partial_match_vs_truth",
-    "failures",
-)
-
 RETRIEVAL_STRATEGIES = frozenset({Strategy.RETRIEVAL_FEW_SHOT, Strategy.RETRIEVAL_LABELING})
 
-CURVE_METRICS = (
-    "subset_accuracy",
-    "hamming_accuracy",
-    "partial_match_accuracy",
-    "micro_precision",
-    "micro_recall",
-    "micro_f1",
+# (CSV column, MetricsReport field) in the standard comparison order; the
+# first six are the metrics that emit_curves plots.
+METRIC_COLUMNS = (
+    ("subset_accuracy", "subset_accuracy"),
+    ("hamming_accuracy", "hamming_accuracy"),
+    ("partial_match", "partial_match_accuracy"),
+    ("precision", "micro_precision"),
+    ("recall", "micro_recall"),
+    ("f1", "micro_f1"),
+    ("partial_match_vs_truth", "partial_match_vs_truth"),
 )
 
 
@@ -383,116 +383,101 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
 
     samples_by_id = corpus.by_id()
     backend = embed_backend if embed_backend is not None else build_backend(config)
-
-    # Each test query is ranked once, at the largest shot count; every
-    # retrieval cell takes a prefix of that ranking, which top_k guarantees
-    # equals a direct top_k call at the smaller k.
-    rankings: dict = {}
-    if not RETRIEVAL_STRATEGIES.isdisjoint(config.strategies):
-        if config.index_path:
-            index = _load_checked_index(
-                config.index_path, corpus, backend, config.include_labels_in_index
-            )
-        else:
-            # Never saved, so never checked: it needs no provenance stamp.
-            index = _embed_train_split(corpus, backend, config.include_labels_in_index)
-        for sample in corpus.test:
-            query = backend.embed(EmbeddingInput(code=sample.code))
-            rankings[sample.id] = top_k(index, query, max_k)
-
-    # Each test sample's random shots for every shot count come from at most
-    # two draws (see select_random), made once rather than once per cell.
-    random_shots: dict = {}
-    if Strategy.RANDOM_FEW_SHOT in config.strategies:
-        for sample in corpus.test:
-            random_shots[sample.id] = select_random(
-                corpus.train, config.shot_counts, config.seed, sample.id
-            )
-
-    if provider is None and not PROMPT_STRATEGIES.isdisjoint(config.strategies):
+    # Only prompts use the provider and the cache. Both are set up before any
+    # index read or embed call, so a bad setting costs none of that work.
+    prompted = not PROMPT_STRATEGIES.isdisjoint(config.strategies)
+    if provider is None and prompted:
         provider = _build_provider(config, corpus)
     calls_before = provider.call_count if provider is not None else 0
+    cache = ResponseCache(config.cache_dir) if prompted and config.cache_dir else None
     output_dir = Path(config.output_dir)
     partial_path = output_dir / "records.partial.jsonl"
-
-    def plan(sample, strategy: Strategy, k: int) -> tuple:
-        """One test sample's neighbours and, unless it labels by retrieval,
-        the completion request for its prompt."""
-        neighbors = rankings[sample.id][:k] if strategy in RETRIEVAL_STRATEGIES else None
-        if strategy is Strategy.RETRIEVAL_LABELING:
-            return neighbors, None
-        if strategy is Strategy.ZERO_SHOT:
-            shots = ()
-        elif strategy is Strategy.RANDOM_FEW_SHOT:
-            shots = random_shots[sample.id][k]
-        else:
-            shots = shots_from_neighbors(neighbors, samples_by_id, config.shot_order)
-        request = CompletionRequest(
-            model_id=config.provider.model_id,
-            prompt=render(shots, sample.code),
-            temperature=config.provider.temperature,
-            max_output_tokens=config.provider.max_output_tokens,
-        )
-        return neighbors, request
-
-    def resolve(strategy: Strategy, plans) -> list:
-        """Label every planned sample of one cell, in test-split order."""
-        if strategy is Strategy.RETRIEVAL_LABELING:
-            return [retrieval_label(neighbors, samples_by_id) for neighbors, _ in plans]
-        results = complete([request for _, request in plans], provider, cache)
-        failure = next((r for r in results if isinstance(r, ProviderError)), None)
-        if config.strict and failure is not None:
-            raise StrictRunError(
-                f"provider failure under strict mode: {failure}", str(partial_path)
-            ) from failure
-        return results
-
-    # The temp file holds exactly the finished cells: renamed to records.jsonl
-    # on success or to records.partial.jsonl on a strict abort, and removed on
-    # any other exception.
     cells: list[CellReport] = []
-    try:
-        output_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise RunnerError(
-            f"output_dir {output_dir} is not a usable directory: {exc}"
-        ) from None
-    fd, tmp_name = tempfile.mkstemp(
-        dir=output_dir, prefix=".records.jsonl.", suffix=".tmp"
-    )
-    sink = os.fdopen(fd, "w", encoding="utf-8")
-    cache = None
-    try:
-        with sink:
-            cache = ResponseCache(config.cache_dir) if config.cache_dir else None
-            for strategy in config.strategies:
-                ks = (0,) if strategy is Strategy.ZERO_SHOT else config.shot_counts
-                for k in ks:
-                    plans = [plan(sample, strategy, k) for sample in corpus.test]
-                    results = resolve(strategy, plans)
-                    cell_records = [
-                        _record(sample.id, strategy, k, *planned, result)
-                        for sample, planned, result in zip(corpus.test, plans, results)
-                    ]
-                    sink.writelines(
-                        json.dumps(r.to_json_dict(), sort_keys=True) + "\n"
-                        for r in cell_records
-                    )
-                    sink.flush()
-                    cells.append(_score_cell(strategy, k, cell_records, samples_by_id))
-        os.replace(tmp_name, output_dir / "records.jsonl")
-    except StrictRunError:
-        os.replace(tmp_name, partial_path)
-        raise
-    except BaseException:
+    failure = None
+    with closing(cache) if cache is not None else nullcontext():
+        # Each test query is ranked once, at the largest shot count; every
+        # retrieval cell takes a prefix of that ranking, which top_k guarantees
+        # equals a direct top_k call at the smaller k.
+        rankings: dict = {}
+        if not RETRIEVAL_STRATEGIES.isdisjoint(config.strategies):
+            if config.index_path:
+                index = _load_checked_index(
+                    config.index_path, corpus, backend, config.include_labels_in_index
+                )
+            else:
+                # Never saved, so never checked: it needs no provenance stamp.
+                index = _embed_train_split(corpus, backend, config.include_labels_in_index)
+            for sample in corpus.test:
+                query = backend.embed(EmbeddingInput(code=sample.code))
+                rankings[sample.id] = top_k(index, query, max_k)
+
+        # Each test sample's random shots for every shot count come from at most
+        # two draws (see select_random), made once rather than once per cell.
+        random_shots: dict = {}
+        if Strategy.RANDOM_FEW_SHOT in config.strategies:
+            for sample in corpus.test:
+                random_shots[sample.id] = select_random(
+                    corpus.train, config.shot_counts, config.seed, sample.id
+                )
+
+        def plan(sample, strategy: Strategy, k: int) -> tuple:
+            """One test sample's neighbours and, unless it labels by retrieval,
+            the completion request for its prompt."""
+            neighbors = rankings[sample.id][:k] if strategy in RETRIEVAL_STRATEGIES else None
+            if strategy is Strategy.RETRIEVAL_LABELING:
+                return neighbors, None
+            if strategy is Strategy.ZERO_SHOT:
+                shots = ()
+            elif strategy is Strategy.RANDOM_FEW_SHOT:
+                shots = random_shots[sample.id][k]
+            else:
+                shots = shots_from_neighbors(neighbors, samples_by_id, config.shot_order)
+            request = CompletionRequest(
+                model_id=config.provider.model_id,
+                prompt=render(shots, sample.code),
+                temperature=config.provider.temperature,
+                max_output_tokens=config.provider.max_output_tokens,
+            )
+            return neighbors, request
+
+        sweep = [
+            (strategy, k)
+            for strategy in config.strategies
+            for k in ((0,) if strategy is Strategy.ZERO_SHOT else config.shot_counts)
+        ]
         try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    finally:
-        if cache is not None:
-            cache.close()
+            output_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise RunnerError(
+                f"output_dir {output_dir} is not a usable directory: {exc}"
+            ) from None
+        # Nothing lands if the loop raises; a strict abort breaks out of it,
+        # so the finished cells land as the checkpoint.
+        with atomic_open(partial_path) as raw, io.TextIOWrapper(raw, encoding="utf-8") as sink:
+            for strategy, k in sweep:
+                plans = [plan(sample, strategy, k) for sample in corpus.test]
+                if strategy is Strategy.RETRIEVAL_LABELING:
+                    results = [retrieval_label(neighbors, samples_by_id) for neighbors, _ in plans]
+                else:
+                    results = complete([request for _, request in plans], provider, cache)
+                    if config.strict:
+                        failure = next((r for r in results if isinstance(r, ProviderError)), None)
+                        if failure is not None:
+                            break
+                cell_records = [
+                    _record(sample.id, strategy, k, *planned, result)
+                    for sample, planned, result in zip(corpus.test, plans, results)
+                ]
+                sink.writelines(
+                    json.dumps(r.to_json_dict(), sort_keys=True) + "\n" for r in cell_records
+                )
+                sink.flush()
+                cells.append(_score_cell(strategy, k, cell_records, samples_by_id))
+    if failure is not None:
+        raise StrictRunError(
+            f"provider failure under strict mode: {failure}", str(partial_path)
+        ) from failure
+    os.replace(partial_path, output_dir / "records.jsonl")
 
     provider_calls = (
         provider.call_count - calls_before if provider is not None else 0
@@ -555,36 +540,18 @@ def _score_cell(strategy: Strategy, k: int, cell_records, samples_by_id) -> Cell
     )
 
 
-def _pct(value: float) -> str:
-    return f"{100 * value:.2f}"
-
-
 def emit_table(report: RunReport) -> str:
     """Render the report as CSV, one row per (strategy, k) cell.
 
-    Metric columns appear in the standard comparison order (subset accuracy,
-    Hamming accuracy, partial match, precision, recall, F1) as percentages
-    with two decimals.
+    Metric columns appear in METRIC_COLUMNS order (subset accuracy, Hamming
+    accuracy, partial match, precision, recall, F1, partial match against the
+    truth) as percentages with two decimals.
     """
-    lines = [",".join(TABLE_COLUMNS)]
+    metric_names = (column for column, _ in METRIC_COLUMNS)
+    lines = [",".join(("strategy", "k", *metric_names, "failures"))]
     for cell in report.cells:
-        m = cell.metrics
-        lines.append(
-            ",".join(
-                (
-                    cell.strategy.value,
-                    str(cell.k),
-                    _pct(m.subset_accuracy),
-                    _pct(m.hamming_accuracy),
-                    _pct(m.partial_match_accuracy),
-                    _pct(m.micro_precision),
-                    _pct(m.micro_recall),
-                    _pct(m.micro_f1),
-                    _pct(m.partial_match_vs_truth),
-                    str(cell.failures),
-                )
-            )
-        )
+        values = (f"{100 * getattr(cell.metrics, name):.2f}" for _, name in METRIC_COLUMNS)
+        lines.append(",".join((cell.strategy.value, str(cell.k), *values, str(cell.failures))))
     return "\n".join(lines) + "\n"
 
 
@@ -600,7 +567,7 @@ def emit_curves(report: RunReport) -> dict:
     if all(len(cells) < 2 for cells in per_strategy.values()):
         raise RunnerError("curves need at least one strategy with two shot counts")
     curves: dict = {}
-    for metric in CURVE_METRICS:
+    for _, metric in METRIC_COLUMNS[:6]:
         curves[metric] = {
             strategy: [[cell.k, getattr(cell.metrics, metric)] for cell in cells]
             for strategy, cells in per_strategy.items()

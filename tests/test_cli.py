@@ -498,10 +498,53 @@ def test_mistyped_config_value_exits_1_without_traceback(workdir, overrides, mes
     ],
     ids=["remote-without-endpoint", "fixed-without-text"],
 )
-def test_provider_missing_its_setting_exits_1(workdir, capsys, provider, message):
-    config_path = write_config(workdir, provider=provider)
-    assert main(["run", "--config", str(config_path)]) == EXIT_USAGE
-    assert message in capsys.readouterr().err
+def test_provider_missing_its_setting_exits_1(workdir, provider, message):
+    # Checked before the index is read: this index_path would exit 3.
+    config_path = write_config(
+        workdir, provider=provider, index_path=str(workdir / "no-such-index.bin")
+    )
+    proc = run_cli("run", "--config", str(config_path))
+    assert proc.returncode == EXIT_USAGE
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_retrieval_labeling_run_leaves_an_old_format_cache_alone(workdir):
+    cache_dir = workdir / "cache"
+    cache_dir.mkdir()
+    database = cache_dir / CACHE_FILENAME
+    with closing(sqlite3.connect(database)) as raw, raw:
+        raw.execute("CREATE TABLE responses (key TEXT PRIMARY KEY, response TEXT) WITHOUT ROWID")
+    before = database.read_bytes()
+    config_path = write_config(
+        workdir, strategies=["retrieval_labeling"], cache_dir=str(cache_dir)
+    )
+    assert main(["run", "--config", str(config_path)]) == EXIT_OK
+    assert database.read_bytes() == before
+
+
+@pytest.mark.parametrize("command", ["ingest", "run"])
+def test_a_corpus_that_is_not_utf8_exits_3_naming_file_and_line(workdir, command):
+    lines = (workdir / "corpus.jsonl").read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b'"code": "', b'"code": "\xff', 1)
+    corpus_path = workdir / "latin1.jsonl"
+    corpus_path.write_bytes(b"".join(lines))
+    if command == "ingest":
+        proc = run_cli("ingest", "--input", str(corpus_path))
+    else:
+        proc = run_cli("run", "--config", str(write_config(workdir, corpus_path=str(corpus_path))))
+    assert proc.returncode == EXIT_DATA
+    assert f"{corpus_path}: line 3: not UTF-8 text" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_a_config_that_is_not_utf8_exits_1_naming_the_file(workdir):
+    config_path = write_config(workdir)
+    config_path.write_bytes(config_path.read_bytes() + b"# caf\xe9\n")
+    proc = run_cli("run", "--config", str(config_path))
+    assert proc.returncode == EXIT_USAGE
+    assert f"cannot read config {config_path}: 'utf-8' codec can't decode" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["table", "curves"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -95,6 +96,23 @@ def test_ingest_skips_blank_lines(tmp_path):
     )
     corpus = ingest(path)
     assert corpus.stats.total_records == 2
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_ingest_reads_any_line_ending(tmp_path, newline):
+    path = tmp_path / "corpus.jsonl"
+    text = newline.join(json.dumps(record(i)) for i in ("a", "b", "c")) + newline
+    path.write_bytes(text.encode("utf-8"))
+    assert [s.id for s in ingest(path).train] == ["a", "b", "c"]
+
+
+def test_ingest_bytes_that_are_not_utf8_name_file_and_line(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    utf8 = json.dumps(record("a", code="/* caf\u00e9 */ int f();"), ensure_ascii=False)
+    latin1 = json.dumps(record("b", code="/* caf? */ int g();")).replace("?", "\u00e9")
+    path.write_bytes(utf8.encode("utf-8") + b"\n" + latin1.encode("latin-1") + b"\n")
+    with pytest.raises(IngestError, match=re.escape(f"{path}: line 2: not UTF-8 text")):
+        ingest(path)
 
 
 def test_ingest_malformed_json_reports_line_number(tmp_path):

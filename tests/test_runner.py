@@ -11,12 +11,13 @@ from contextlib import closing
 import pytest
 
 from vulnprompt import llmclient, prompting, runner
-from vulnprompt.config import DEFAULT_SHOT_COUNTS, ExperimentConfig, ProviderSettings
+from vulnprompt.config import DEFAULT_SHOT_COUNTS, ConfigError, ExperimentConfig, ProviderSettings
 from vulnprompt.corpus import dump_jsonl, ingest
-from vulnprompt.embedding import EmbeddingInput
+from vulnprompt.embedding import EmbeddingInput, HashedBagOfTokensBackend
 from vulnprompt.labels import label_set
 from vulnprompt.llmclient import (
     CACHE_FILENAME,
+    CacheError,
     FixedProvider,
     ParrotProvider,
     RemoteChatProvider,
@@ -214,7 +215,7 @@ class ScriptedParrot(ParrotProvider):
 
 
 def temp_records_files(out):
-    return sorted(out.glob(".records.jsonl.*.tmp"))
+    return sorted(out.glob(".records.partial.jsonl.*.tmp"))
 
 
 def test_records_stream_cell_by_cell(small_corpus_path, small_corpus, tmp_path):
@@ -301,6 +302,72 @@ def test_strict_failure_in_the_first_cell_leaves_an_empty_checkpoint(
         run(config, provider=ParrotProvider())
     assert (out / "records.partial.jsonl").read_bytes() == b""
     assert temp_records_files(out) == []
+
+
+def test_a_successful_rerun_consumes_the_strict_checkpoint(small_corpus_path, tmp_path):
+    out = tmp_path / "out"
+    strict = make_config(small_corpus_path, out, strategies=(Strategy.ZERO_SHOT,), strict=True)
+    with pytest.raises(StrictRunError):
+        run(strict, provider=ParrotProvider())
+    assert (out / "records.partial.jsonl").exists()
+
+    run(make_config(small_corpus_path, out), provider=ParrotProvider())
+    assert (out / "records.jsonl").exists()
+    assert not (out / "records.partial.jsonl").exists()
+    assert temp_records_files(out) == []
+
+
+class CountingBackend(HashedBagOfTokensBackend):
+    def __init__(self) -> None:
+        super().__init__(dimension=64)
+        self.calls = 0
+
+    def embed(self, item):
+        self.calls += 1
+        return super().embed(item)
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        (ProviderSettings(type="fixed"), "fixed provider requires fixed_text"),
+        (ProviderSettings(type="remote"), "remote provider requires an endpoint"),
+    ],
+    ids=["fixed-without-text", "remote-without-endpoint"],
+)
+def test_a_missing_provider_setting_fails_before_any_embed_call(
+    small_corpus_path, tmp_path, settings, message
+):
+    backend = CountingBackend()
+    config = make_config(small_corpus_path, tmp_path / "out", provider=settings)
+    with pytest.raises(ConfigError, match=message):
+        run(config, embed_backend=backend)
+    assert backend.calls == 0
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_prompted_run_refuses_an_old_cache_before_any_embed_call(small_corpus_path, tmp_path):
+    # A cache file of the earlier key format: the table, no user_version stamp.
+    (tmp_path / "cache").mkdir()
+    with closing(sqlite3.connect(tmp_path / "cache" / CACHE_FILENAME)) as raw, raw:
+        raw.execute("CREATE TABLE responses (key TEXT PRIMARY KEY, response TEXT) WITHOUT ROWID")
+    backend = CountingBackend()
+    config = make_config(small_corpus_path, tmp_path / "out", cache_dir=str(tmp_path / "cache"))
+    with pytest.raises(CacheError, match="another key format"):
+        run(config, provider=ParrotProvider(), embed_backend=backend)
+    assert backend.calls == 0
+
+
+def test_retrieval_labeling_alone_never_opens_the_cache(small_corpus_path, tmp_path):
+    cache_dir = tmp_path / "cache"
+    config = make_config(
+        small_corpus_path,
+        tmp_path / "out",
+        strategies=(Strategy.RETRIEVAL_LABELING,),
+        cache_dir=str(cache_dir),
+    )
+    run(config)
+    assert not (cache_dir / CACHE_FILENAME).exists()
 
 
 def test_artifacts_written_and_recomputable(small_corpus_path, tmp_path):
