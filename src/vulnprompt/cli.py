@@ -16,7 +16,7 @@ from pathlib import Path
 from .config import ConfigError, load_config
 from .corpus import IngestError, dump_jsonl, ingest, validate
 from .embedding import EmbeddingError
-from .llmclient import CacheError, ResponseCache
+from .llmclient import CACHE_FILENAME, CacheError, ResponseCache
 from .runner import (
     RunnerError,
     RunReport,
@@ -121,6 +121,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_cache(args) -> int:
+    path = Path(args.cache_dir) / CACHE_FILENAME
+    if not path.is_file():  # opening it would create it
+        raise CacheError(f"no response cache at {path}")
     with closing(ResponseCache(args.cache_dir)) as cache:
         if args.cache_command == "stats":
             print(json.dumps(cache.stats(), indent=2, sort_keys=True))
@@ -196,10 +199,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (IngestError, RunnerError, VecIndexError, EmbeddingError, CacheError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:  # a missing file, or a directory where a file belongs
+    # OSError: a missing file, or a directory where a file belongs.
+    except (IngestError, RunnerError, VecIndexError, EmbeddingError, CacheError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

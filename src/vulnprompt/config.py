@@ -2,14 +2,16 @@
 
 The dataclass annotations are the schema: unknown keys and mistyped values
 fail loudly instead of silently running a default or another setting.
+from_plain, which applies them, also reads the run artifacts back.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 from types import UnionType
@@ -129,49 +131,73 @@ class ExperimentConfig:
         return json.loads(json.dumps(asdict(self)))  # enums as their values, tuples as lists
 
 
-def _typed(key: str, value, hint):
-    """Convert a YAML value to its annotation (list to tuple, string to enum, mapping
-    to settings class; an int passes as a float, a bool not as an int), or raise
-    ConfigError naming `key`."""
-    if value is None and type(None) in get_args(hint):  # `X | None`
-        return None
-    hint = get_args(hint)[0] if get_origin(hint) is UnionType else hint
-    if get_origin(hint) is tuple:
-        if isinstance(value, list):
-            return tuple(_typed(f"{key}[{i}]", v, get_args(hint)[0]) for i, v in enumerate(value))
-        expected = "a list"
-    elif is_dataclass(hint):
-        if isinstance(value, dict):
+def from_plain(cls, data, error):
+    """Build the dataclass `cls` from plain data, as JSON or YAML decodes it,
+    converting each value to its annotation: a list to a tuple or frozenset, a
+    string to an enum, a mapping to a nested dataclass; an int passes as a float,
+    a bool not as an int. A value that does not fit, or a missing or unknown key,
+    raises `error` naming its path, such as ``cells[0].metrics.micro_f1``."""
+    return _converter(cls, error)(data, "")
+
+
+@functools.cache
+def _converter(hint, error):
+    """The function (value, key) -> value that converts to `hint`, built once per hint."""
+    origin = get_origin(hint)
+    if origin is UnionType:  # `X | None`
+        inner = _converter(get_args(hint)[0], error)
+        return lambda value, key: None if value is None else inner(value, key)
+    if origin in (tuple, frozenset):
+        item = _converter(get_args(hint)[0], error)
+
+        def convert_sequence(value, key):
+            if type(value) is not list:
+                raise error(f"{key} must be a list, got {type(value).__name__}")
+            return origin([item(v, f"{key}[{i}]") for i, v in enumerate(value)])
+
+        return convert_sequence
+    if is_dataclass(hint):
+        converters = {name: _converter(h, error) for name, h in get_type_hints(hint).items()}
+        required = {
+            f.name for f in fields(hint) if f.default is MISSING and f.default_factory is MISSING
+        }
+
+        def convert_dataclass(value, key):
+            if not isinstance(value, dict):
+                raise error(f"{key or hint.__name__} must be a mapping, got {type(value).__name__}")
+            if key and error is ConfigError:  # a config section keeps the config's wording
+                try:
+                    return convert_dataclass(value, "")
+                except ConfigError as exc:
+                    raise ConfigError(f"invalid {key} settings: {exc}") from None
+            prefix = f"{key}." if key else ""
+            if not required <= value.keys() <= converters.keys():
+                missing, unknown = required - value.keys(), value.keys() - converters.keys()
+                named = ", ".join(sorted(prefix + str(name) for name in missing or unknown))
+                raise error(f"{'missing' if missing else 'unknown'} key(s): {named}")
+            return hint(**{name: converters[name](v, prefix + name) for name, v in value.items()})
+
+        return convert_dataclass
+    if issubclass(hint, Enum):
+        members = {member.value: member for member in hint}
+        noun = re.sub(r"(?<=[a-z])([A-Z])", r"_\1", hint.__name__).lower()
+
+        def convert_enum(value, key):
             try:
-                return _from_mapping(hint, value)
-            except ConfigError as exc:
-                raise ConfigError(f"invalid {key} settings: {exc}") from None
-        expected = "a mapping"
-    elif issubclass(hint, Enum):
-        try:
-            return hint(value)
-        except ValueError:
-            noun = re.sub(r"(?<=[a-z])([A-Z])", r"_\1", hint.__name__).lower()
-            raise ConfigError(f"unknown {noun} {value!r} in {key}") from None
-    elif (hint is float and type(value) is int) or (
-        isinstance(value, hint) and (type(value) is not bool or hint is bool)
-    ):
-        return value
-    else:
-        expected = hint.__name__
-    raise ConfigError(f"{key} must be {expected}, got {type(value).__name__}")
+                return members[value]
+            except (KeyError, TypeError):  # TypeError: an unhashable value
+                raise error(f"unknown {noun} {value!r} in {key}") from None
 
+        return convert_enum
 
-def _from_mapping(cls, data: dict):
-    """Build the config dataclass `cls` from a YAML mapping."""
-    hints = get_type_hints(cls)
-    unknown = ", ".join(sorted(map(str, set(data) - set(hints))))
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {unknown}")
-    try:
-        return cls(**{key: _typed(key, value, hints[key]) for key, value in data.items()})
-    except TypeError as exc:  # a required key is missing
-        raise ConfigError(f"invalid config: {exc}") from None
+    def convert_leaf(value, key):
+        if type(value) is hint or (hint is float and type(value) is int) or (
+            type(value) is not bool and isinstance(value, hint)
+        ):
+            return value
+        raise error(f"{key} must be {hint.__name__}, got {type(value).__name__}")
+
+    return convert_leaf
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -184,4 +210,4 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"malformed YAML in {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    return _from_mapping(ExperimentConfig, raw)
+    return from_plain(ExperimentConfig, raw, ConfigError)

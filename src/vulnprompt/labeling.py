@@ -32,8 +32,8 @@ class ParseOutcome:
     True when the text contained no CWE mention at all.
     """
 
-    labels: frozenset
-    unknown_mentions: tuple
+    labels: frozenset[CweLabel]
+    unknown_mentions: tuple[str, ...]
     empty_parse: bool
 
 

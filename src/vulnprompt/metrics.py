@@ -59,10 +59,6 @@ class MetricsReport:
     def to_json_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MetricsReport":
-        return cls(**{k: data[k] for k in cls.__dataclass_fields__})
-
 
 def report(pairs) -> MetricsReport:
     """Compute every metric over one list of pairs in a single pass.

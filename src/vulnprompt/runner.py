@@ -31,6 +31,12 @@ outstanding.
 Given a mock provider, a fixed seed, and a warm cache, reruns are
 byte-identical; timestamps live in a separate metadata block so they never
 perturb the payload.
+
+The annotations of PredictionRecord, CellReport and RunReport are the
+artifacts' schema: RunReport.from_json and load_records read report.json and
+records.jsonl back through config.from_plain, which checks every field and
+raises RunnerError naming the bad one. Writing stays hand-written
+(to_json_dict, payload_dict): it is on every run's timed path, reading is not.
 """
 
 from __future__ import annotations
@@ -41,15 +47,15 @@ import json
 import os
 import time
 from contextlib import closing, nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, from_plain
 from .corpus import Corpus, ingest
 from .embedding import EmbeddingInput, HashedBagOfTokensBackend, RemoteEmbeddingBackend
 from .fileio import atomic_open, atomic_write_text
 from .labeling import ParseOutcome, parse_labels, retrieval_label
-from .labels import format_labels, label_codes, label_set
+from .labels import CweLabel, format_labels, label_codes
 from .llmclient import (
     CompletionRequest,
     FixedProvider,
@@ -106,9 +112,9 @@ class PredictionRecord:
     test_id: str
     strategy: Strategy
     k: int
-    pred: frozenset
-    neighbor_ids: tuple | None = None
-    similarities: tuple | None = None
+    pred: frozenset[CweLabel]
+    neighbor_ids: tuple[str, ...] | None = None
+    similarities: tuple[float, ...] | None = None
     prompt_hash: str | None = None
     raw_text: str | None = None
     parsed: ParseOutcome | None = None
@@ -137,30 +143,6 @@ class PredictionRecord:
             "error": self.error,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PredictionRecord":
-        parsed = None
-        if data.get("parsed") is not None:
-            raw = data["parsed"]
-            parsed = ParseOutcome(
-                labels=label_set(raw["labels"]),
-                unknown_mentions=tuple(raw["unknown_mentions"]),
-                empty_parse=raw["empty_parse"],
-            )
-        return cls(
-            test_id=data["test_id"],
-            strategy=Strategy(data["strategy"]),
-            k=data["k"],
-            pred=label_set(data["pred"]),
-            neighbor_ids=tuple(data["neighbor_ids"]) if data.get("neighbor_ids") is not None else None,
-            similarities=tuple(data["similarities"]) if data.get("similarities") is not None else None,
-            prompt_hash=data.get("prompt_hash"),
-            raw_text=data.get("raw_text"),
-            parsed=parsed,
-            cached=data.get("cached"),
-            error=data.get("error"),
-        )
-
 
 @dataclass(frozen=True)
 class CellReport:
@@ -179,15 +161,6 @@ class CellReport:
             "failures": self.failures,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CellReport":
-        return cls(
-            strategy=Strategy(data["strategy"]),
-            k=data["k"],
-            metrics=MetricsReport.from_json_dict(data["metrics"]),
-            failures=data["failures"],
-        )
-
 
 @dataclass(frozen=True)
 class RunReport:
@@ -200,9 +173,9 @@ class RunReport:
     template_id: str
     shot_order: ShotOrder
     config: dict
-    cells: tuple
+    cells: tuple[CellReport, ...]
     provider_calls: int
-    metadata: dict
+    metadata: dict = field(default_factory=dict)
 
     def payload_dict(self) -> dict:
         return {
@@ -221,16 +194,8 @@ class RunReport:
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
         try:
-            data = json.loads(text)
-            return cls(
-                template_id=data["template_id"],
-                shot_order=ShotOrder(data["shot_order"]),
-                config=data["config"],
-                cells=tuple(CellReport.from_json_dict(c) for c in data["cells"]),
-                provider_calls=data["provider_calls"],
-                metadata=data.get("metadata", {}),
-            )
-        except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
+            return from_plain(cls, json.loads(text), TypeError)
+        except (TypeError, ValueError) as exc:  # ValueError covers bad JSON
             raise RunnerError(f"not a run report: {type(exc).__name__}: {exc}") from None
 
 
@@ -502,12 +467,20 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
 
 
 def load_records(path: str | Path) -> list:
-    """Read a records.jsonl file back into PredictionRecords."""
+    """Read a records.jsonl file back into PredictionRecords, checking each line
+    against the PredictionRecord annotations; a bad line raises RunnerError
+    naming the file and the line."""
     records = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                records.append(PredictionRecord.from_json_dict(json.loads(line)))
+    with open(path, "rb") as handle:
+        try:
+            for number, line in enumerate(handle, 1):
+                if line.strip():
+                    data = json.loads(line.decode())
+                    records.append(from_plain(PredictionRecord, data, TypeError))
+        except (TypeError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+            raise RunnerError(
+                f"{path}: line {number}: not a prediction record: {type(exc).__name__}: {exc}"
+            ) from None
     return records
 
 

@@ -552,7 +552,11 @@ def test_a_config_that_is_not_utf8_exits_1_naming_the_file(workdir):
     "text, message",
     [
         (b"not json", "{path}: not a run report: JSONDecodeError"),
-        (b'{"x": 1}', "{path}: not a run report: KeyError: 'template_id'"),
+        (
+            b'{"x": 1}',
+            "{path}: not a run report: TypeError: "
+            "missing key(s): cells, config, provider_calls, shot_order, template_id",
+        ),
         (b"[1]", "{path}: not a run report: TypeError"),
         (b"\xff\xfe", "{path}: 'utf-8' codec can't decode byte 0xff"),
         (None, "Is a directory: '{path}'"),
@@ -568,6 +572,61 @@ def test_report_from_a_malformed_report_exits_3(workdir, capsys, command, text, 
         report_path.write_bytes(text)
     assert main(["report", command, "--run", str(workdir)]) == EXIT_DATA
     assert message.format(path=report_path) in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def report_json(tmp_path_factory):
+    """The report.json of a finished two-strategy, two-shot-count run."""
+    tmp_path = tmp_path_factory.mktemp("report")
+    assert main(["synth", "--n-per-label", "5", "--out", str(tmp_path / "corpus.jsonl")]) == EXIT_OK
+    assert main(["run", "--config", str(write_config(tmp_path))]) == EXIT_OK
+    return (tmp_path / "out" / "report.json").read_text(encoding="utf-8")
+
+
+METRIC = ("cells", 0, "metrics", "micro_f1")
+
+
+@pytest.mark.parametrize("command", ["table", "curves"])
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        (METRIC, "0.5", "cells[0].metrics.micro_f1 must be float, got str"),
+        (METRIC, None, "cells[0].metrics.micro_f1 must be float, got NoneType"),
+        (("cells", 1, "k"), "1", "cells[1].k must be int, got str"),
+        (("cells", 2, "failures"), "x", "cells[2].failures must be int, got str"),
+        (("provider_calls",), "3", "provider_calls must be int, got str"),
+        (("cells",), None, "cells must be a list, got NoneType"),
+        (("metadata",), [], "metadata must be dict, got list"),
+        (("extra",), 1, "unknown key(s): extra"),
+    ],
+    ids=[
+        "str-metric", "null-metric", "str-k", "str-failures", "str-provider-calls",
+        "null-cells", "list-metadata", "unknown-key",
+    ],
+)
+def test_report_with_a_mistyped_field_exits_3_naming_it(
+    tmp_path, capsys, report_json, command, where, value, message
+):
+    data = json.loads(report_json)
+    *parents, last = where
+    target = data
+    for step in parents:
+        target = target[step]
+    target[last] = value
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["report", command, "--run", str(tmp_path)]) == EXIT_DATA
+    assert f"{report_path}: not a run report: TypeError: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["stats", "clear"])
+def test_cache_command_on_a_path_with_no_cache_exits_3_creating_nothing(tmp_path, command):
+    cache_dir = tmp_path / "typo_dir"
+    proc = run_cli("cache", command, "--cache-dir", str(cache_dir))
+    assert proc.returncode == EXIT_DATA
+    assert f"no response cache at {cache_dir / CACHE_FILENAME}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not cache_dir.exists()
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import LABEL_ORDER, brute_force_metrics
+from vulnprompt.config import from_plain
 from vulnprompt.labels import label_set
 from vulnprompt.metrics import (
     LabeledPair,
@@ -92,7 +93,7 @@ def test_report_counts_identity():
 
 def test_report_json_round_trip():
     result = report(TWO_PAIR_EXAMPLE)
-    assert MetricsReport.from_json_dict(result.to_json_dict()) == result
+    assert from_plain(MetricsReport, result.to_json_dict(), TypeError) == result
 
 
 def random_pairs(rng, max_n=50):

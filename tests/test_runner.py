@@ -4,17 +4,27 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import sqlite3
 import threading
 from contextlib import closing
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vulnprompt import llmclient, prompting, runner
-from vulnprompt.config import DEFAULT_SHOT_COUNTS, ConfigError, ExperimentConfig, ProviderSettings
+from vulnprompt.config import (
+    DEFAULT_SHOT_COUNTS,
+    ConfigError,
+    ExperimentConfig,
+    ProviderSettings,
+    from_plain,
+)
 from vulnprompt.corpus import dump_jsonl, ingest
 from vulnprompt.embedding import EmbeddingInput, HashedBagOfTokensBackend
-from vulnprompt.labels import label_set
+from vulnprompt.labeling import ParseOutcome
+from vulnprompt.labels import CweLabel, label_set
 from vulnprompt.llmclient import (
     CACHE_FILENAME,
     CacheError,
@@ -385,6 +395,7 @@ def test_artifacts_written_and_recomputable(small_corpus_path, tmp_path):
 
     reloaded = RunReport.from_json((out / "report.json").read_text(encoding="utf-8"))
     assert reloaded.payload_dict() == report.payload_dict()
+    assert from_plain(ExperimentConfig, reloaded.config, ConfigError) == config
     assert (out / "report.csv").read_text(encoding="utf-8") == emit_table(report)
 
     corpus = ingest(small_corpus_path)
@@ -707,8 +718,6 @@ def test_truncated_cache_file_is_refetched(small_corpus_path, tmp_path, strict):
 
 
 def test_prediction_record_json_round_trip():
-    from vulnprompt.labeling import ParseOutcome
-
     record = PredictionRecord(
         test_id="t1",
         strategy=Strategy.RETRIEVAL_FEW_SHOT,
@@ -725,8 +734,68 @@ def test_prediction_record_json_round_trip():
         ),
         cached=True,
     )
-    assert PredictionRecord.from_json_dict(record.to_json_dict()) == record
+    assert read_back(record) == record
     assert record.to_json_dict()["pred"] == ["CWE-119", "CWE-476"]
+
+
+def read_back(record):
+    """What load_records makes of the line that run() writes for `record`."""
+    line = json.dumps(record.to_json_dict(), sort_keys=True)
+    return from_plain(PredictionRecord, json.loads(line), TypeError)
+
+
+def optional(values):
+    return st.none() | values
+
+
+labels = st.frozensets(st.sampled_from(CweLabel))
+
+
+@given(
+    st.builds(
+        PredictionRecord,
+        test_id=st.text(),
+        strategy=st.sampled_from(Strategy),
+        k=st.integers(min_value=0, max_value=10_000),
+        pred=labels,
+        neighbor_ids=optional(st.lists(st.text()).map(tuple)),
+        similarities=optional(st.lists(st.floats(allow_nan=False)).map(tuple)),
+        prompt_hash=optional(st.text()),
+        raw_text=optional(st.text()),
+        parsed=optional(st.builds(
+            ParseOutcome,
+            labels=labels,
+            unknown_mentions=st.lists(st.from_regex(r"\A[0-9]+\Z")).map(tuple),
+            empty_parse=st.booleans(),
+        )),
+        cached=optional(st.booleans()),
+        error=optional(st.text()),
+    )
+)
+def test_any_record_reads_back_as_written(record):
+    assert read_back(record) == record
+
+
+@pytest.mark.parametrize(
+    "index, damage, message",
+    [
+        (1, lambda line: line.replace('"k": 1', '"k": "1"'),
+         "line 2: not a prediction record: TypeError: k must be int, got str"),
+        (3, lambda line: line[: len(line) // 2],
+         "line 4: not a prediction record: JSONDecodeError"),
+    ],
+    ids=["string-k", "truncated-last-line"],
+)
+def test_load_records_names_the_file_and_line_of_a_bad_record(
+    small_corpus_path, tmp_path, index, damage, message
+):
+    run(make_config(small_corpus_path, tmp_path / "out", strategies=(Strategy.RETRIEVAL_LABELING,)))
+    path = tmp_path / "out" / "records.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()[:4]
+    lines[index] = damage(lines[index])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(RunnerError, match=re.escape(f"{path}: {message}")):
+        load_records(path)
 
 
 def fabricated_report(cells):
