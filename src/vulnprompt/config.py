@@ -2,16 +2,16 @@
 
 The dataclass annotations are the schema: unknown keys and mistyped values
 fail loudly instead of silently running a default or another setting.
-from_plain, which applies them, also reads the run artifacts back.
+from_plain, which applies them, also reads the run artifacts back; to_plain writes them.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
+import operator
 import re
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 from types import UnionType
@@ -127,9 +127,6 @@ class ExperimentConfig:
                 f"unknown template_id {self.template_id!r}; only {TEMPLATE_ID!r} exists"
             )
 
-    def to_json_dict(self) -> dict:
-        return json.loads(json.dumps(asdict(self)))  # enums as their values, tuples as lists
-
 
 def from_plain(cls, data, error):
     """Build the dataclass `cls` from plain data, as JSON or YAML decodes it,
@@ -198,6 +195,41 @@ def _converter(hint, error):
         raise error(f"{key} must be {hint.__name__}, got {type(value).__name__}")
 
     return convert_leaf
+
+
+def to_plain(value):
+    """The inverse of from_plain: `value` as plain data that JSON can encode,
+    following its annotations. A dataclass becomes a mapping of its fields, an
+    enum its value, a tuple a list, and a frozenset of enum members a list in
+    the enum's declaration order; any other value passes through unchanged."""
+    return _writer(type(value))(value)
+
+
+def _same(value):
+    return value
+
+
+@functools.cache
+def _writer(hint):
+    """The function value -> plain data for values annotated `hint`, built once
+    per hint. A tuple or optional of values written by _same skips it."""
+    origin = get_origin(hint)
+    if origin is UnionType:  # `X | None`
+        inner = _writer(get_args(hint)[0])
+        return _same if inner is _same else lambda value: None if value is None else inner(value)
+    if origin is frozenset:  # of enum members
+        members = tuple(get_args(hint)[0])
+        values = functools.cache(lambda subset: tuple(m.value for m in members if m in subset))
+        return lambda value: list(values(value))
+    if origin is tuple:
+        item = _writer(get_args(hint)[0])
+        return list if item is _same else lambda value: [item(v) for v in value]
+    if is_dataclass(hint):
+        writers = tuple((name, _writer(h)) for name, h in get_type_hints(hint).items())
+        return lambda value: {name: write(getattr(value, name)) for name, write in writers}
+    if issubclass(hint, Enum):
+        return operator.attrgetter("value")
+    return _same
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -12,11 +12,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .labels import CweLabel
+from .labels import LABEL_BY_NUMBER, CweLabel
 
 _CWE_MENTION_RE = re.compile(r"cwe[\s\-_]?(\d+)", re.IGNORECASE)
-
-_BY_NUMBER = {str(label.number): label for label in CweLabel}
 
 
 class LabelingError(ValueError):
@@ -49,8 +47,8 @@ def parse_labels(text: str) -> ParseOutcome:
     for match in _CWE_MENTION_RE.finditer(text):
         matched = True
         digits = match.group(1)
-        if digits in _BY_NUMBER:
-            labels.add(_BY_NUMBER[digits])
+        if digits in LABEL_BY_NUMBER:
+            labels.add(LABEL_BY_NUMBER[digits])
         elif digits not in unknown:
             unknown.append(digits)
     return ParseOutcome(

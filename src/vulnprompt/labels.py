@@ -31,6 +31,9 @@ class CweLabel(enum.Enum):
 
 ALL_LABELS: tuple[CweLabel, ...] = tuple(sorted(CweLabel, key=lambda label: label.number))
 
+# Each label by its CWE number as a digit string: "119" -> CweLabel.CWE_119.
+LABEL_BY_NUMBER: dict[str, CweLabel] = {str(label.number): label for label in CweLabel}
+
 
 def parse_label(code: str) -> CweLabel:
     """Map a label string such as "CWE-119" to its enum member.
@@ -52,11 +55,6 @@ def label_set(codes: Iterable[str]) -> frozenset[CweLabel]:
     return frozenset(parse_label(code) for code in codes)
 
 
-def sorted_labels(labels: Iterable[CweLabel]) -> list[CweLabel]:
-    """Labels in ascending numeric order (119, 120, 469, 476)."""
-    return sorted(labels, key=lambda label: label.number)
-
-
 def label_codes(labels: Iterable[CweLabel]) -> list[str]:
     """Label codes in ascending numeric order, duplicates collapsed.
 
@@ -76,7 +74,7 @@ def format_labels(labels: Iterable[CweLabel]) -> str:
 
 @functools.cache
 def _label_set_codes(labels: frozenset) -> tuple:
-    return tuple(label.value for label in sorted_labels(labels))
+    return tuple(label.value for label in ALL_LABELS if label in labels)
 
 
 @functools.cache

@@ -100,7 +100,6 @@ class CompletionResult:
 
     text: str
     cached: bool
-    latency_ms: float
 
 
 class Provider(Protocol):
@@ -258,26 +257,20 @@ def complete(
     results: list = [None] * len(requests)
     misses: list = []
     for i in range(len(requests)):
-        start = time.perf_counter()
         hit = cache.get(keys[i]) if cache is not None else None
         if hit is None:
             misses.append(i)
         else:
-            results[i] = CompletionResult(
-                text=hit, cached=True, latency_ms=(time.perf_counter() - start) * 1000
-            )
+            results[i] = CompletionResult(text=hit, cached=True)
     if not misses:
         return results
 
     def fetch(request: CompletionRequest):
-        start = time.perf_counter()
         try:
             text = provider.generate(request)
         except ProviderError as exc:
             return exc
-        return CompletionResult(
-            text=text, cached=False, latency_ms=(time.perf_counter() - start) * 1000
-        )
+        return CompletionResult(text=text, cached=False)
 
     pending = [requests[i] for i in misses]
     workers = min(provider.max_in_flight, len(misses))

@@ -13,11 +13,11 @@ downstream consumers may want either. An instance whose truth is empty scores
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 from .labels import CweLabel
 
-N_LABELS = 4
+N_LABELS = len(CweLabel)
 
 
 class MetricsError(ValueError):
@@ -56,8 +56,17 @@ class MetricsReport:
     tn: int
     partial_match_vs_truth: float
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
+    def __post_init__(self) -> None:
+        if self.n_instances < 1:
+            raise MetricsError(f"n_instances must be >= 1, got {self.n_instances}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not 0 <= value <= 1:  # also false for NaN
+                raise MetricsError(f"{f.name} must be in [0, 1], got {value}")
+        counts = (self.tp, self.fp, self.fn, self.tn)
+        slots = self.n_instances * self.n_labels
+        if min(counts) < 0 or sum(counts) != slots:
+            raise MetricsError(f"tp, fp, fn, tn must be >= 0 and sum to {slots}, got {counts}")
 
 
 def report(pairs) -> MetricsReport:

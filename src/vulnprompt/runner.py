@@ -33,10 +33,10 @@ byte-identical; timestamps live in a separate metadata block so they never
 perturb the payload.
 
 The annotations of PredictionRecord, CellReport and RunReport are the
-artifacts' schema: RunReport.from_json and load_records read report.json and
-records.jsonl back through config.from_plain, which checks every field and
-raises RunnerError naming the bad one. Writing stays hand-written
-(to_json_dict, payload_dict): it is on every run's timed path, reading is not.
+artifacts' format: run() writes records.jsonl and report.json through
+config.to_plain, and RunReport.from_json and load_records read them back through
+config.from_plain. A value of the wrong type, or one that a __post_init__ range
+check refuses, raises RunnerError naming it.
 """
 
 from __future__ import annotations
@@ -50,12 +50,12 @@ from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, from_plain
+from .config import ConfigError, ExperimentConfig, from_plain, to_plain
 from .corpus import Corpus, ingest
 from .embedding import EmbeddingInput, HashedBagOfTokensBackend, RemoteEmbeddingBackend
 from .fileio import atomic_open, atomic_write_text
 from .labeling import ParseOutcome, parse_labels, retrieval_label
-from .labels import CweLabel, format_labels, label_codes
+from .labels import CweLabel, format_labels
 from .llmclient import (
     CompletionRequest,
     FixedProvider,
@@ -121,27 +121,9 @@ class PredictionRecord:
     cached: bool | None = None
     error: str | None = None
 
-    def to_json_dict(self) -> dict:
-        parsed = None
-        if self.parsed is not None:
-            parsed = {
-                "labels": label_codes(self.parsed.labels),
-                "unknown_mentions": list(self.parsed.unknown_mentions),
-                "empty_parse": self.parsed.empty_parse,
-            }
-        return {
-            "test_id": self.test_id,
-            "strategy": self.strategy.value,
-            "k": self.k,
-            "pred": label_codes(self.pred),
-            "neighbor_ids": list(self.neighbor_ids) if self.neighbor_ids is not None else None,
-            "similarities": list(self.similarities) if self.similarities is not None else None,
-            "prompt_hash": self.prompt_hash,
-            "raw_text": self.raw_text,
-            "parsed": parsed,
-            "cached": self.cached,
-            "error": self.error,
-        }
+    def __post_init__(self) -> None:
+        if self.k < 0:
+            raise ValueError(f"k must be >= 0, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -153,13 +135,14 @@ class CellReport:
     metrics: MetricsReport
     failures: int
 
+    def __post_init__(self) -> None:
+        if self.k < 0:
+            raise ValueError(f"k must be >= 0, got {self.k}")
+        if not 0 <= self.failures <= self.metrics.n_instances:
+            raise ValueError(f"failures must be in [0, n_instances], got {self.failures}")
+
     def to_json_dict(self) -> dict:
-        return {
-            "strategy": self.strategy.value,
-            "k": self.k,
-            "metrics": self.metrics.to_json_dict(),
-            "failures": self.failures,
-        }
+        return to_plain(self)
 
 
 @dataclass(frozen=True)
@@ -178,18 +161,10 @@ class RunReport:
     metadata: dict = field(default_factory=dict)
 
     def payload_dict(self) -> dict:
-        return {
-            "template_id": self.template_id,
-            "shot_order": self.shot_order.value,
-            "config": self.config,
-            "cells": [cell.to_json_dict() for cell in self.cells],
-            "provider_calls": self.provider_calls,
-        }
+        return {k: v for k, v in to_plain(self).items() if k != "metadata"}
 
     def to_json(self) -> str:
-        data = self.payload_dict()
-        data["metadata"] = self.metadata
-        return json.dumps(data, sort_keys=True, indent=2)
+        return json.dumps(to_plain(self), sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
@@ -218,21 +193,13 @@ def build_index_from_corpus(
 ) -> VectorIndex:
     """Embed every train sample and assemble the retrieval index, stamped
     with index_stamp so that a saved copy can be checked when it is loaded.
-    """
-    stamp = index_stamp(corpus, backend, include_labels)
-    return _embed_train_split(corpus, backend, include_labels, built_from=stamp)
-
-
-def _embed_train_split(
-    corpus: Corpus, backend, include_labels: bool, built_from: dict | None = None
-) -> VectorIndex:
-    """Embed every train sample into an index stamped with `built_from`.
 
     With include_labels on, each sample's labels are appended to the text
     before embedding, so samples sharing a label sit closer together.
     """
     if not corpus.train:
         raise RunnerError("cannot build an index from an empty train split")
+    stamp = index_stamp(corpus, backend, include_labels)
     entries = (
         IndexEntry(
             sample_id=sample.id,
@@ -245,7 +212,7 @@ def _embed_train_split(
         )
         for sample in corpus.train
     )
-    return build(entries, count=len(corpus.train), built_from=built_from)
+    return build(entries, count=len(corpus.train), built_from=stamp)
 
 
 def build_backend(config: ExperimentConfig):
@@ -370,8 +337,7 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
                     config.index_path, corpus, backend, config.include_labels_in_index
                 )
             else:
-                # Never saved, so never checked: it needs no provenance stamp.
-                index = _embed_train_split(corpus, backend, config.include_labels_in_index)
+                index = build_index_from_corpus(corpus, backend, config.include_labels_in_index)
             for sample in corpus.test:
                 query = backend.embed(EmbeddingInput(code=sample.code))
                 rankings[sample.id] = top_k(index, query, max_k)
@@ -434,7 +400,7 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
                     for sample, planned, result in zip(corpus.test, plans, results)
                 ]
                 sink.writelines(
-                    json.dumps(r.to_json_dict(), sort_keys=True) + "\n" for r in cell_records
+                    json.dumps(to_plain(r), sort_keys=True) + "\n" for r in cell_records
                 )
                 sink.flush()
                 cells.append(_score_cell(strategy, k, cell_records, samples_by_id))
@@ -451,7 +417,7 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
     report = RunReport(
         template_id=config.template_id,
         shot_order=config.shot_order,
-        config=config.to_json_dict(),
+        config=to_plain(config),
         cells=tuple(cells),
         provider_calls=provider_calls,
         metadata={

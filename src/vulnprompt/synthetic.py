@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 from .corpus import CodeSample, Corpus, IngestStats
-from .labels import CweLabel, label_set
+from .labels import LABEL_BY_NUMBER, label_set
 
 _POOLS = {
     "119": {
@@ -132,8 +132,6 @@ def _core_476(rng: random.Random) -> str:
 
 _CORES = {"119": _core_119, "120": _core_120, "469": _core_469, "476": _core_476}
 
-_LABEL_BY_NUM = {str(label.number): label for label in CweLabel}
-
 _PARAM_SIGS = {
     "119": "const char *incoming, int frame_len",
     "120": "const char *user_name",
@@ -174,7 +172,7 @@ def make_synthetic_corpus(seed: int, n_per_label: int) -> Corpus:
             sample = CodeSample(
                 id=f"syn-{num}-{i:03d}",
                 code=_make_code((num,), rng),
-                truth=label_set([_LABEL_BY_NUM[num].value]),
+                truth=label_set([LABEL_BY_NUMBER[num].value]),
             )
             add(sample, i)
 
@@ -187,7 +185,7 @@ def make_synthetic_corpus(seed: int, n_per_label: int) -> Corpus:
                 sample = CodeSample(
                     id=f"syn-{a}-{b}-{j:03d}",
                     code=_make_code((a, b), rng),
-                    truth=label_set([_LABEL_BY_NUM[a].value, _LABEL_BY_NUM[b].value]),
+                    truth=label_set([LABEL_BY_NUMBER[a].value, LABEL_BY_NUMBER[b].value]),
                 )
                 add(sample, j)
 

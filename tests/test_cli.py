@@ -619,6 +619,34 @@ def test_report_with_a_mistyped_field_exits_3_naming_it(
     assert f"{report_path}: not a run report: TypeError: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["table", "curves"])
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (
+            {"micro_f1": 5, "k": -3, "failures": -1},
+            "MetricsError: micro_f1 must be in [0, 1], got 5",
+        ),
+        ({"k": -3}, "ValueError: k must be >= 0, got -3"),
+        ({"failures": -1}, "ValueError: failures must be in [0, n_instances], got -1"),
+    ],
+    ids=["f1-k-failures", "negative-k", "negative-failures"],
+)
+def test_report_with_an_out_of_range_value_exits_3_naming_it(
+    tmp_path, capsys, report_json, command, changes, message
+):
+    data = json.loads(report_json)
+    cell = data["cells"][0]
+    for key, value in changes.items():
+        (cell["metrics"] if key in cell["metrics"] else cell)[key] = value
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["report", command, "--run", str(tmp_path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{report_path}: not a run report: {message}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["stats", "clear"])
 def test_cache_command_on_a_path_with_no_cache_exits_3_creating_nothing(tmp_path, command):
     cache_dir = tmp_path / "typo_dir"

@@ -13,7 +13,9 @@ from vulnprompt.config import (
     EmbeddingSettings,
     ExperimentConfig,
     ProviderSettings,
+    from_plain,
     load_config,
+    to_plain,
 )
 from vulnprompt.prompting import TEMPLATE_ID, ShotOrder, Strategy
 
@@ -196,7 +198,7 @@ def test_int_for_a_float_is_kept_as_written(tmp_path):
         minimal_yaml(tmp_path, {"provider": {"temperature": 0, "timeout_s": 5}})
     )
     assert type(config.provider.temperature) is int
-    assert config.to_json_dict()["provider"]["temperature"] == 0
+    assert to_plain(config)["provider"]["temperature"] == 0
     assert config.provider.timeout_s == 5
     with pytest.raises(ConfigError, match="timeout_s must be float, got bool"):
         load_config(minimal_yaml(tmp_path, {"provider": {"timeout_s": True}}))
@@ -273,9 +275,9 @@ def test_provider_settings_validation():
         ProviderSettings(retries=0)
 
 
-def test_to_json_dict_serializes_enums():
+def test_to_plain_serializes_enums():
     config = ExperimentConfig(corpus_path="c", output_dir="o")
-    data = config.to_json_dict()
+    data = to_plain(config)
     assert data["strategies"] == [
         "zero_shot",
         "random_few_shot",
@@ -284,3 +286,5 @@ def test_to_json_dict_serializes_enums():
     ]
     assert data["shot_order"] == "similar_first"
     assert data["shot_counts"] == list(DEFAULT_SHOT_COUNTS)
+    assert data["embedding"]["backend"] == "hashed"
+    assert from_plain(ExperimentConfig, data, ConfigError) == config

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vulnprompt.config import to_plain
+from vulnprompt.labeling import ParseOutcome
 from vulnprompt.labels import (
     ALL_LABELS,
+    LABEL_BY_NUMBER,
     CweLabel,
     UnknownLabelError,
     format_labels,
@@ -15,7 +20,6 @@ from vulnprompt.labels import (
     label_codes,
     label_set,
     parse_label,
-    sorted_labels,
 )
 
 
@@ -65,11 +69,25 @@ def test_format_labels_ascending_numeric():
 
 def test_number_property():
     assert CweLabel.CWE_469.number == 469
+    assert LABEL_BY_NUMBER == {str(label.number): label for label in ALL_LABELS}
+
+
+def test_declaration_order_is_numeric_order():
+    """to_plain writes a label set in declaration order; records rely on it being numeric."""
+    assert tuple(CweLabel) == ALL_LABELS
+
+
+def test_to_plain_writes_every_label_set_as_label_codes():
+    subsets = [frozenset(c) for n in range(5) for c in itertools.combinations(CweLabel, n)]
+    assert len(subsets) == 16
+    for labels in subsets:
+        outcome = ParseOutcome(labels=labels, unknown_mentions=(), empty_parse=False)
+        assert to_plain(outcome)["labels"] == label_codes(labels)
 
 
 @given(st.sets(st.sampled_from(list(CweLabel))))
-def test_sorted_labels_is_ascending(labels):
-    ordered = sorted_labels(labels)
+def test_label_codes_are_ascending(labels):
+    ordered = [parse_label(code) for code in label_codes(labels)]
     numbers = [label.number for label in ordered]
     assert numbers == sorted(numbers)
     assert set(ordered) == labels

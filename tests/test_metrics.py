@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import LABEL_ORDER, brute_force_metrics
-from vulnprompt.config import from_plain
+from vulnprompt.config import from_plain, to_plain
 from vulnprompt.labels import label_set
 from vulnprompt.metrics import (
     LabeledPair,
@@ -93,7 +95,26 @@ def test_report_counts_identity():
 
 def test_report_json_round_trip():
     result = report(TWO_PAIR_EXAMPLE)
-    assert from_plain(MetricsReport, result.to_json_dict(), TypeError) == result
+    assert from_plain(MetricsReport, to_plain(result), TypeError) == result
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"n_instances": 0}, "n_instances must be >= 1, got 0"),
+        ({"micro_f1": 5}, "micro_f1 must be in [0, 1], got 5"),
+        ({"subset_accuracy": -0.25}, "subset_accuracy must be in [0, 1], got -0.25"),
+        ({"micro_recall": math.nan}, "micro_recall must be in [0, 1], got nan"),
+        ({"fp": -1, "tn": 6}, "tp, fp, fn, tn must be >= 0 and sum to 8, got (2, -1, 1, 6)"),
+        ({"tn": 5}, "tp, fp, fn, tn must be >= 0 and sum to 8, got (2, 1, 1, 5)"),
+    ],
+    ids=["no-instances", "rate-above-1", "negative-rate", "nan-rate", "negative-count",
+         "counts-off"],
+)
+def test_report_out_of_range_rejected(overrides, message):
+    values = {**to_plain(report(TWO_PAIR_EXAMPLE)), **overrides}
+    with pytest.raises(MetricsError, match=re.escape(message)):
+        MetricsReport(**values)
 
 
 def random_pairs(rng, max_n=50):

@@ -20,6 +20,7 @@ from vulnprompt.config import (
     ExperimentConfig,
     ProviderSettings,
     from_plain,
+    to_plain,
 )
 from vulnprompt.corpus import dump_jsonl, ingest
 from vulnprompt.embedding import EmbeddingInput, HashedBagOfTokensBackend
@@ -735,12 +736,12 @@ def test_prediction_record_json_round_trip():
         cached=True,
     )
     assert read_back(record) == record
-    assert record.to_json_dict()["pred"] == ["CWE-119", "CWE-476"]
+    assert to_plain(record)["pred"] == ["CWE-119", "CWE-476"]
 
 
 def read_back(record):
     """What load_records makes of the line that run() writes for `record`."""
-    line = json.dumps(record.to_json_dict(), sort_keys=True)
+    line = json.dumps(to_plain(record), sort_keys=True)
     return from_plain(PredictionRecord, json.loads(line), TypeError)
 
 
@@ -781,10 +782,12 @@ def test_any_record_reads_back_as_written(record):
     [
         (1, lambda line: line.replace('"k": 1', '"k": "1"'),
          "line 2: not a prediction record: TypeError: k must be int, got str"),
+        (2, lambda line: line.replace('"k": 1', '"k": -1'),
+         "line 3: not a prediction record: ValueError: k must be >= 0, got -1"),
         (3, lambda line: line[: len(line) // 2],
          "line 4: not a prediction record: JSONDecodeError"),
     ],
-    ids=["string-k", "truncated-last-line"],
+    ids=["string-k", "negative-k", "truncated-last-line"],
 )
 def test_load_records_names_the_file_and_line_of_a_bad_record(
     small_corpus_path, tmp_path, index, damage, message
@@ -895,11 +898,35 @@ def test_emit_curves_requires_two_shot_counts():
         emit_curves(fabricated_report(cells))
 
 
+@pytest.mark.parametrize(
+    "k, failures, message",
+    [
+        (-1, 0, "k must be >= 0, got -1"),
+        (1, -1, "failures must be in [0, n_instances], got -1"),
+        (1, 11, "failures must be in [0, n_instances], got 11"),
+    ],
+)
+def test_cell_report_out_of_range_rejected(k, failures, message):
+    cell = fabricated_cell(Strategy.RANDOM_FEW_SHOT, 1)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(cell, k=k, failures=failures)
+
+
 def test_run_report_json_round_trip():
-    cell = fabricated_cell(Strategy.ZERO_SHOT, 0)
-    report = fabricated_report([cell])
-    reloaded = RunReport.from_json(report.to_json())
-    assert reloaded == report
+    cells = [
+        fabricated_cell(Strategy.ZERO_SHOT, 0),
+        dataclasses.replace(fabricated_cell(Strategy.RANDOM_FEW_SHOT, 1, tp=0, tn=38), failures=3),
+        fabricated_cell(Strategy.RETRIEVAL_LABELING, 20, micro_f1=1, micro_recall=0.0),
+    ]
+    report = dataclasses.replace(
+        fabricated_report(cells),
+        config=to_plain(ExperimentConfig(corpus_path="c", output_dir="o")),
+        provider_calls=7,
+        metadata={"wall_clock_s": 1.5},
+    )
+    text = report.to_json()
+    assert RunReport.from_json(text) == report
+    assert json.loads(text) == {**report.payload_dict(), "metadata": {"wall_clock_s": 1.5}}
 
 
 def test_records_file_is_sorted_json(small_corpus_path, tmp_path):
