@@ -133,7 +133,9 @@ def from_plain(cls, data, error):
     converting each value to its annotation: a list to a tuple or frozenset, a
     string to an enum, a mapping to a nested dataclass; an int passes as a float,
     a bool not as an int. A value that does not fit, or a missing or unknown key,
-    raises `error` naming its path, such as ``cells[0].metrics.micro_f1``."""
+    raises `error` naming its path, such as ``cells[0].metrics.micro_f1``. A
+    nested dataclass's own check keeps its exception type, and its message is
+    prefixed with that dataclass's path, such as ``cells[0].metrics: ``."""
     return _converter(cls, error)(data, "")
 
 
@@ -172,7 +174,13 @@ def _converter(hint, error):
                 missing, unknown = required - value.keys(), value.keys() - converters.keys()
                 named = ", ".join(sorted(prefix + str(name) for name in missing or unknown))
                 raise error(f"{'missing' if missing else 'unknown'} key(s): {named}")
-            return hint(**{name: converters[name](v, prefix + name) for name, v in value.items()})
+            values = {name: converters[name](v, prefix + name) for name, v in value.items()}
+            try:
+                return hint(**values)
+            except ValueError as exc:  # a __post_init__ check, named by its path
+                if not key:
+                    raise
+                raise type(exc)(f"{key}: {exc}") from None
 
         return convert_dataclass
     if issubclass(hint, Enum):

@@ -9,6 +9,7 @@ entirely and unions the ground-truth labels of the nearest neighbors.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -34,12 +35,19 @@ class ParseOutcome:
     unknown_mentions: tuple[str, ...]
     empty_parse: bool
 
+    def __post_init__(self) -> None:
+        if self.empty_parse and (self.labels or self.unknown_mentions):
+            raise ValueError("an empty parse has no labels and no unknown mentions")
 
+
+@functools.lru_cache(maxsize=1024)
 def parse_labels(text: str) -> ParseOutcome:
     """Extract in-scope CWE labels from free-form model output.
 
     Matches "CWE-119", "cwe 119", "CWE_119" and similar; the digit string
     must equal an in-scope number exactly, so "CWE-0119" counts as unknown.
+    A sweep sees few distinct answers many times, so outcomes are memoised
+    per text (the outcome is immutable, so sharing it is safe).
     """
     labels: set[CweLabel] = set()
     unknown: list[str] = []

@@ -2,9 +2,11 @@
 
 Experiments run the same prompts repeatedly while metrics and reports evolve,
 so every completion is cached under a key derived from the full request: the
-prompt's SHA-256 plus the other request fields. Mock providers cover offline
-work: a fixed-text provider, a parrot that echoes the first shot's label
-line, and an oracle that answers from ground truth.
+prompt's SHA-256 plus the other request fields. Since the key needs only the
+prompt's digest, a request can be planned by that digest with a function that
+renders the text, and complete renders it only if the cache misses it. Mock
+providers cover offline work: a fixed-text provider, a parrot that echoes the
+first shot's label line, and an oracle that answers from ground truth.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import math
 import sqlite3
 import threading
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Protocol
 
@@ -49,18 +51,31 @@ class CacheError(Exception):
 
 @dataclass(frozen=True)
 class CompletionRequest:
-    """One completion call, fully determined by its fields."""
+    """One completion call, fully determined by its fields.
+
+    The prompt is given either as text, or as its `prompt_hash` digest
+    (`prompt_sha256`) plus `render`, a function that returns the text. The
+    second form is how a caller plans many requests whose answers are
+    probably cached: only a miss needs the text, and `complete` renders it.
+    """
 
     model_id: str
-    prompt: str
+    prompt: str | None = None
     temperature: float = 0.0
     max_output_tokens: int = 128
+    prompt_sha256: str | None = None
+    render: Callable[[], str] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.model_id:
             raise ValueError("model_id must be non-empty")
-        if not self.prompt:
+        if self.prompt is None:
+            if self.prompt_sha256 is None or self.render is None:
+                raise ValueError("a request needs its prompt, or its prompt_sha256 and render")
+        elif not self.prompt:
             raise ValueError("prompt must be non-empty")
+        elif self.prompt_sha256 is None:
+            object.__setattr__(self, "prompt_sha256", prompt_hash(self.prompt))
         if not self.temperature >= 0.0:  # also true for NaN
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
         if self.temperature == math.inf:
@@ -70,28 +85,39 @@ class CompletionRequest:
                 f"max_output_tokens must be >= 1, got {self.max_output_tokens}"
             )
 
-    @functools.cached_property
-    def prompt_sha256(self) -> str:
-        """The prompt's `prompt_hash`, computed once per request."""
-        return prompt_hash(self.prompt)
+    def rendered(self) -> "CompletionRequest":
+        """This request with its prompt text, rendered now if it was planned by digest."""
+        if self.prompt is not None:
+            return self
+        return replace(self, prompt=self.render())
 
     def cache_key(self) -> str:
-        """SHA-256 over the JSON of every field but the prompt, plus the
-        prompt's SHA-256 hex digest.
+        """SHA-256 over the JSON of model_id, temperature and
+        max_output_tokens, plus the prompt's SHA-256 hex digest.
 
         The JSON keeps each value's type, so temperature 0 and 0.0 key apart.
         The digest is the one a record stores as its prompt_hash, so the
-        prompt text is hashed once and never JSON-encoded.
+        prompt text is never JSON-encoded, and needs no rendering at all.
         """
-        head = json.dumps(
-            {
-                "model_id": self.model_id,
-                "temperature": self.temperature,
-                "max_output_tokens": self.max_output_tokens,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(f"{head}{self.prompt_sha256}".encode("utf-8")).hexdigest()
+        key = _key_head(self.model_id, self.temperature, self.max_output_tokens).copy()
+        key.update(self.prompt_sha256.encode("ascii"))
+        return key.hexdigest()
+
+
+@functools.lru_cache(maxsize=16, typed=True)
+def _key_head(model_id: str, temperature: float, max_output_tokens: int):
+    """A SHA-256 fed with the JSON of the cache key's fields but the prompt,
+    built once per distinct value, which is once per run; callers update a
+    copy. `typed` keeps temperature 0 and 0.0 apart, as their JSON does."""
+    head = json.dumps(
+        {
+            "model_id": model_id,
+            "temperature": temperature,
+            "max_output_tokens": max_output_tokens,
+        },
+        sort_keys=True,
+    )
+    return hashlib.sha256(head.encode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -239,19 +265,20 @@ def complete(
     """Resolve a batch of requests; results come back in input order.
 
     Each request's cache key is computed once and serves both its lookup and,
-    on a miss, its store. The key is built on the prompt's SHA-256, which the
-    request keeps as `prompt_sha256` for the caller's record, so a prompt is
-    hashed once and never JSON-encoded. Every cache lookup finishes on the
-    calling thread before any miss is fetched, so identical requests in one
-    batch all miss together; requests are not de-duplicated. Misses go to the
-    provider on a pool of min(provider.max_in_flight, misses) threads, or in
-    order on the calling thread when that is 1, as it is for the in-process
-    mocks. The calling thread stores each fresh answer as it takes it, in
-    input order, so no worker touches the cache and an exception after the
-    Nth answer leaves the first N-1 stored. Each result is a CompletionResult, or the ProviderError
-    that request raised; refusals are never retried or cached, and retry
-    policy for transport errors lives inside remote providers. Any other
-    exception propagates.
+    on a miss, its store. The key is built on the request's `prompt_sha256`
+    digest, which the caller's record keeps too, so a lookup needs no prompt
+    text: a request planned by digest is rendered only if it misses. Every
+    cache lookup finishes on the calling thread before any miss is fetched,
+    so identical requests in one batch all miss together; requests are not
+    de-duplicated. Then every miss is rendered, also on the calling thread,
+    and goes to the provider on a pool of min(provider.max_in_flight, misses)
+    threads, or in order on the calling thread when that is 1, as it is for
+    the in-process mocks. The calling thread stores each fresh answer as it
+    takes it, in input order, so no worker touches the cache and an exception
+    after the Nth answer leaves the first N-1 stored. Each result is a
+    CompletionResult, or the ProviderError that request raised; refusals are
+    never retried or cached, and retry policy for transport errors lives
+    inside remote providers. Any other exception propagates.
     """
     keys = [request.cache_key() for request in requests] if cache is not None else None
     results: list = [None] * len(requests)
@@ -272,7 +299,7 @@ def complete(
             return exc
         return CompletionResult(text=text, cached=False)
 
-    pending = [requests[i] for i in misses]
+    pending = [requests[i].rendered() for i in misses]
     workers = min(provider.max_in_flight, len(misses))
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     fetched = pool.map(fetch, pending) if pool is not None else map(fetch, pending)

@@ -59,6 +59,8 @@ class MetricsReport:
     def __post_init__(self) -> None:
         if self.n_instances < 1:
             raise MetricsError(f"n_instances must be >= 1, got {self.n_instances}")
+        if self.n_labels != N_LABELS:
+            raise MetricsError(f"n_labels must be {N_LABELS}, got {self.n_labels}")
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "float" and not 0 <= value <= 1:  # also false for NaN

@@ -6,6 +6,12 @@ few-shot (k nearest train examples by embedding similarity). A fourth
 strategy, retrieval labeling, never builds a prompt at all; it lives in
 the labeling module and is listed here so runners can iterate strategies
 from one place.
+
+A prompt is the preamble, one block per shot and the test block, joined by
+newlines. render builds the text; PromptHasher computes its prompt_hash from
+the same blocks without building it, hashing each shot block once across a
+test sample's shot counts. A cache lookup needs only that hash, so the runner
+renders a few-shot prompt only when the cache misses it.
 """
 
 from __future__ import annotations
@@ -108,20 +114,55 @@ def shots_from_neighbors(neighbors, samples_by_id, order: ShotOrder) -> tuple:
     return tuple(samples)
 
 
+def _shot_block(shot) -> str:
+    return f"Code:\n{shot.code}\nVulnerabilities: {format_labels(shot.truth)}\n"
+
+
+def _test_block(test_code: str) -> str:
+    return f"Code:\n{test_code}\nVulnerabilities:"
+
+
 def render(shots, test_code: str) -> str:
-    """Render a prompt: preamble, shot blocks, then the unlabeled test block.
+    """Render a prompt: preamble, shot blocks, then the unlabeled test block,
+    joined by newlines.
 
     Each shot is a train CodeSample, shown with its code and truth labels.
     The prompt always ends with "Vulnerabilities:" so the model's completion
     is exactly the label list.
     """
-    blocks = [_PREAMBLE]
-    for shot in shots:
-        blocks.append(
-            f"Code:\n{shot.code}\nVulnerabilities: {format_labels(shot.truth)}\n"
-        )
-    blocks.append(f"Code:\n{test_code}\nVulnerabilities:")
-    return "\n".join(blocks)
+    return "\n".join((_PREAMBLE, *map(_shot_block, shots), _test_block(test_code)))
+
+
+_PREAMBLE_SHA256 = hashlib.sha256(_PREAMBLE.encode("utf-8"))
+
+
+class PromptHasher:
+    """`prompt_hash(render(shots, test_code))` for one test sample's successive
+    shot tuples, computed without rendering a prompt.
+
+    The hash of the preamble and the shots so far is kept, so a call whose
+    shots extend the previous call's hashes only the new shot blocks and then
+    finishes from a copy with the test block. Shots that do not extend the
+    previous ones (reversed order, another random draw, a smaller k) restart
+    from the preamble.
+    """
+
+    def __init__(self, test_code: str) -> None:
+        self._tail = f"\n{_test_block(test_code)}".encode("utf-8")
+        self._shots: tuple = ()
+        self._state = _PREAMBLE_SHA256.copy()
+
+    def digest(self, shots: tuple) -> str:
+        done = len(self._shots)
+        if shots[:done] != self._shots:
+            done = 0
+            self._state = _PREAMBLE_SHA256.copy()
+        for shot in shots[done:]:
+            self._state.update(f"\n{_shot_block(shot)}".encode("utf-8"))
+        self._shots = shots
+        final = self._state.copy()
+        final.update(self._tail)
+        return final.hexdigest()
 
 
 _SHOT_LABEL_RE = re.compile(r"^Vulnerabilities: (.+)$", re.MULTILINE)

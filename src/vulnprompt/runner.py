@@ -11,9 +11,12 @@ call, so a bad setting for either fails before that work. It then walks one
 flat list of (strategy, k) cells, zero_shot being the single k=0 cell.
 
 Every cell, whatever its strategy, takes one path. Plan: each test sample
-gets its neighbours (retrieval strategies) and its shots, rendered into a
-prompt unless the cell labels by retrieval. Resolve: the prompts go to one
-llmclient.complete call, or retrieval labeling unions the neighbours' labels.
+gets its neighbours (retrieval strategies) and its shots, and a completion
+request unless the cell labels by retrieval. A few-shot request carries only
+its prompt's digest, from the sample's prompting.PromptHasher, which lives
+while one strategy is swept; the prompt is rendered only if the cache misses
+it. Resolve: the requests go to one llmclient.complete call, or retrieval
+labeling unions the neighbours' labels.
 Score and write: one constructor turns each sample's plan and result into a
 record, in test-split order; the records are streamed through
 fileio.atomic_open towards records.partial.jsonl, scored, and dropped before
@@ -41,6 +44,7 @@ check refuses, raises RunnerError naming it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -70,6 +74,7 @@ from .metrics import LabeledPair, MetricsReport
 from .metrics import report as metrics_report
 from .prompting import (
     PROMPT_STRATEGIES,
+    PromptHasher,
     ShotOrder,
     Strategy,
     render,
@@ -136,6 +141,10 @@ class CellReport:
     failures: int
 
     def __post_init__(self) -> None:
+        if (self.k == 0) != (self.strategy is Strategy.ZERO_SHOT):
+            raise ValueError(
+                f"k must be 0 exactly for zero_shot, got k={self.k} for {self.strategy.value}"
+            )
         if self.k < 0:
             raise ValueError(f"k must be >= 0, got {self.k}")
         if not 0 <= self.failures <= self.metrics.n_instances:
@@ -351,23 +360,39 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
                     corpus.train, config.shot_counts, config.seed, sample.id
                 )
 
+        settings = config.provider
+        new_request = functools.partial(
+            CompletionRequest,
+            settings.model_id,
+            temperature=settings.temperature,
+            max_output_tokens=settings.max_output_tokens,
+        )
+        # One PromptHasher per test sample, for the strategy being swept.
+        hashers: dict = {}
+
         def plan(sample, strategy: Strategy, k: int) -> tuple:
             """One test sample's neighbours and, unless it labels by retrieval,
-            the completion request for its prompt."""
+            the completion request for its prompt.
+
+            A few-shot request is planned by its digest, which the sample's
+            hasher extends from the previous shot count's; its prompt is
+            rendered only if the cache misses it. The zero-shot prompt has no
+            shots to share and is rendered at once.
+            """
             neighbors = rankings[sample.id][:k] if strategy in RETRIEVAL_STRATEGIES else None
             if strategy is Strategy.RETRIEVAL_LABELING:
                 return neighbors, None
             if strategy is Strategy.ZERO_SHOT:
-                shots = ()
-            elif strategy is Strategy.RANDOM_FEW_SHOT:
+                return neighbors, new_request(prompt=render((), sample.code))
+            if strategy is Strategy.RANDOM_FEW_SHOT:
                 shots = random_shots[sample.id][k]
             else:
                 shots = shots_from_neighbors(neighbors, samples_by_id, config.shot_order)
-            request = CompletionRequest(
-                model_id=config.provider.model_id,
-                prompt=render(shots, sample.code),
-                temperature=config.provider.temperature,
-                max_output_tokens=config.provider.max_output_tokens,
+            hasher = hashers.get(sample.id)
+            if hasher is None:
+                hasher = hashers[sample.id] = PromptHasher(sample.code)
+            request = new_request(
+                prompt_sha256=hasher.digest(shots), render=lambda: render(shots, sample.code)
             )
             return neighbors, request
 
@@ -384,8 +409,13 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
             ) from None
         # Nothing lands if the loop raises; a strict abort breaks out of it,
         # so the finished cells land as the checkpoint.
+        encoder = json.JSONEncoder(sort_keys=True)
         with atomic_open(partial_path) as raw, io.TextIOWrapper(raw, encoding="utf-8") as sink:
+            swept = None
             for strategy, k in sweep:
+                if strategy is not swept:
+                    hashers.clear()
+                    swept = strategy
                 plans = [plan(sample, strategy, k) for sample in corpus.test]
                 if strategy is Strategy.RETRIEVAL_LABELING:
                     results = [retrieval_label(neighbors, samples_by_id) for neighbors, _ in plans]
@@ -400,7 +430,7 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
                     for sample, planned, result in zip(corpus.test, plans, results)
                 ]
                 sink.writelines(
-                    json.dumps(to_plain(r), sort_keys=True) + "\n" for r in cell_records
+                    encoder.encode(to_plain(r)) + "\n" for r in cell_records
                 )
                 sink.flush()
                 cells.append(_score_cell(strategy, k, cell_records, samples_by_id))

@@ -625,10 +625,10 @@ def test_report_with_a_mistyped_field_exits_3_naming_it(
     [
         (
             {"micro_f1": 5, "k": -3, "failures": -1},
-            "MetricsError: micro_f1 must be in [0, 1], got 5",
+            "MetricsError: cells[0].metrics: micro_f1 must be in [0, 1], got 5",
         ),
-        ({"k": -3}, "ValueError: k must be >= 0, got -3"),
-        ({"failures": -1}, "ValueError: failures must be in [0, n_instances], got -1"),
+        ({"k": -3}, "ValueError: cells[0]: k must be >= 0, got -3"),
+        ({"failures": -1}, "ValueError: cells[0]: failures must be in [0, n_instances], got -1"),
     ],
     ids=["f1-k-failures", "negative-k", "negative-failures"],
 )
@@ -639,6 +639,49 @@ def test_report_with_an_out_of_range_value_exits_3_naming_it(
     cell = data["cells"][0]
     for key, value in changes.items():
         (cell["metrics"] if key in cell["metrics"] else cell)[key] = value
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["report", command, "--run", str(tmp_path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{report_path}: not a run report: {message}" in err
+    assert "Traceback" not in err
+
+
+def seven_labels(cell):
+    metrics = cell["metrics"]
+    metrics["n_labels"] = 7
+    metrics["tn"] += 3 * metrics["n_instances"]  # the counts still sum to every slot
+
+
+@pytest.mark.parametrize("command", ["table", "curves"])
+@pytest.mark.parametrize(
+    "index, damage, message",
+    [
+        (1, seven_labels, "MetricsError: cells[1].metrics: n_labels must be 4, got 7"),
+        (
+            2,
+            lambda cell: cell.update(k=0),
+            "ValueError: cells[2]: k must be 0 exactly for zero_shot, "
+            "got k=0 for retrieval_labeling",
+        ),
+        (
+            0,
+            lambda cell: cell.update(strategy="zero_shot"),
+            "ValueError: cells[0]: k must be 0 exactly for zero_shot, got k=1 for zero_shot",
+        ),
+        (
+            3,
+            lambda cell: cell["metrics"].update(micro_f1=5),
+            "MetricsError: cells[3].metrics: micro_f1 must be in [0, 1], got 5",
+        ),
+    ],
+    ids=["seven-labels", "k0-retrieval-labeling", "k1-zero-shot", "f1-in-cell-3"],
+)
+def test_report_with_an_inconsistent_cell_exits_3_naming_it(
+    tmp_path, capsys, report_json, command, index, damage, message
+):
+    data = json.loads(report_json)
+    damage(data["cells"][index])
     report_path = tmp_path / "report.json"
     report_path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["report", command, "--run", str(tmp_path)]) == EXIT_DATA

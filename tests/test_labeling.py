@@ -41,6 +41,18 @@ def test_parse_no_mentions():
     assert outcome.empty_parse is True
 
 
+def test_parse_outcome_is_shared_per_text_from_a_bounded_memo():
+    text = "CWE-469 and CWE-9999"
+    assert parse_labels(text) is parse_labels(text)
+    assert parse_labels.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("labels, unknown", [(["CWE-119"], ()), ([], ("787",))])
+def test_an_empty_parse_with_mentions_is_rejected(labels, unknown):
+    with pytest.raises(ValueError, match="an empty parse has no labels"):
+        ParseOutcome(labels=label_set(labels), unknown_mentions=unknown, empty_parse=True)
+
+
 def test_parse_separator_variants():
     for text in ("CWE-119", "cwe 119", "CWE_119", "Cwe-119", "cwe119"):
         assert parse_labels(text).labels == frozenset({CweLabel.CWE_119}), text

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given
@@ -16,6 +17,7 @@ from vulnprompt.labels import label_set
 from vulnprompt.prompting import (
     PROMPT_STRATEGIES,
     PromptError,
+    PromptHasher,
     ShotOrder,
     Strategy,
     extract_test_code,
@@ -124,6 +126,43 @@ def test_shots_from_neighbors_follow_top_k_order(
     assert shots == tuple(samples_by_id[n.sample_id] for n in neighbors)
     reversed_shots = shots_from_neighbors(neighbors, samples_by_id, ShotOrder.SIMILAR_LAST)
     assert list(reversed_shots) == list(shots[::-1])
+
+
+def hasher_pool(non_ascii):
+    pool = list(make_pool(44))
+    if non_ascii:
+        pool[7] = CodeSample(
+            id="t007", code='char *s = "naïve ✓ 缓冲";', truth=label_set(["CWE-469"])
+        )
+    return tuple(pool)
+
+
+@pytest.mark.parametrize("non_ascii", [False, True], ids=["ascii", "non-ascii"])
+@pytest.mark.parametrize(
+    "shot_counts", [DEFAULT_SHOT_COUNTS, (20, 5, 1, 8, 8, 2, 20)], ids=["ascending", "unsorted"]
+)
+def test_prompt_hasher_digest_equals_the_hash_of_the_rendered_prompt(non_ascii, shot_counts):
+    pool = hasher_pool(non_ascii)
+    test_code = "int g(char *p) { /* déjà vu — 溢出 */ return *p; }" if non_ascii else "int g();"
+    random_shots = select_random(pool, shot_counts, seed=7, test_id="t001")
+    # With a 44-sample pool, random.sample takes one branch up to k=5 and the
+    # other from k=6, and for this test id the two draws part at the fourth shot.
+    assert random_shots[20][:5] != random_shots[5]
+    ranking = [SimpleNamespace(sample_id=pool[i].id) for i in (7, *range(43, 24, -1))]
+    samples_by_id = {s.id: s for s in pool}
+    sequences = {
+        "random": [random_shots[k] for k in shot_counts],
+        **{
+            order.value: [
+                shots_from_neighbors(ranking[:k], samples_by_id, order) for k in shot_counts
+            ]
+            for order in ShotOrder
+        },
+    }
+    for name, sequence in sequences.items():
+        hasher = PromptHasher(test_code)
+        digests = [hasher.digest(shots) for shots in sequence]
+        assert digests == [prompt_hash(render(shots, test_code)) for shots in sequence], name
 
 
 def test_render_zero_shot_has_no_shot_blocks():

@@ -570,53 +570,100 @@ def test_warm_replay_starts_no_worker_thread(
     ]
 
 
-def test_warm_replay_hashes_each_prompt_once_and_never_json_encodes_one(
-    synthetic_corpus_path, tmp_path, monkeypatch
+def test_warm_replay_renders_only_zero_shot_prompts_and_json_encodes_none(
+    synthetic_corpus_path, synthetic_corpus, tmp_path, monkeypatch
 ):
     config = make_config(
         synthetic_corpus_path,
         tmp_path / "out",
-        strategies=(
-            Strategy.RANDOM_FEW_SHOT,
-            Strategy.RETRIEVAL_FEW_SHOT,
-            Strategy.RETRIEVAL_LABELING,
-        ),
+        strategies=tuple(Strategy),
         shot_counts=DEFAULT_SHOT_COUNTS,
         seed=7,
         cache_dir=str(tmp_path / "cache"),
     )
-    run(config, provider=ParrotProvider())
+    for _ in range(2):  # a cold fill, then an unwatched replay to compare with
+        run(config, provider=oracle_for_corpus(synthetic_corpus))
+    replayed = (tmp_path / "out" / "records.jsonl").read_bytes()
 
+    rendered = []
+    real_render = runner.render
+
+    def recording_render(shots, test_code):
+        rendered.append(tuple(shots))
+        return real_render(shots, test_code)
+
+    monkeypatch.setattr(runner, "render", recording_render)
     real_prompt_hash = prompting.prompt_hash
     hashed = []
 
-    def counting_prompt_hash(text):
+    def recording_prompt_hash(text):
         hashed.append(text)
         return real_prompt_hash(text)
 
     for module in (prompting, llmclient, runner):
         if hasattr(module, "prompt_hash"):
-            monkeypatch.setattr(module, "prompt_hash", counting_prompt_hash)
-    real_dumps = json.dumps
+            monkeypatch.setattr(module, "prompt_hash", recording_prompt_hash)
+    real_encode = json.JSONEncoder.encode
     encoded_prompts = []
 
-    def checking_dumps(obj, *args, **kwargs):
-        text = real_dumps(obj, *args, **kwargs)
+    def checking_encode(self, obj):
+        text = real_encode(self, obj)
         if "You are a code vulnerability detector" in text:
             encoded_prompts.append(text)
         return text
 
-    monkeypatch.setattr(json, "dumps", checking_dumps)
-    report = run(config, provider=ParrotProvider())
+    monkeypatch.setattr(json.JSONEncoder, "encode", checking_encode)
+    report = run(config, provider=oracle_for_corpus(synthetic_corpus))
     assert report.provider_calls == 0
+    assert (tmp_path / "out" / "records.jsonl").read_bytes() == replayed
+    test_codes = [sample.code for sample in synthetic_corpus.test]
+    assert rendered == [()] * len(test_codes)
+    assert hashed == [real_render((), code) for code in test_codes]
+    assert encoded_prompts == []
+
+
+def test_cold_run_renders_each_miss_once_on_the_calling_thread(
+    synthetic_corpus_path, tmp_path, monkeypatch
+):
+    class PooledParrot(ParrotProvider):
+        max_in_flight = 2
+
+    provider = PooledParrot()
+    generate_threads = set()
+    real_generate = provider.generate
+
+    def recording_generate(request):
+        generate_threads.add(threading.get_ident())
+        return real_generate(request)
+
+    provider.generate = recording_generate
+    renders = []
+    real_render = runner.render
+
+    def recording_render(shots, test_code):
+        text = real_render(shots, test_code)
+        renders.append((threading.get_ident(), text))
+        return text
+
+    monkeypatch.setattr(runner, "render", recording_render)
+    config = make_config(
+        synthetic_corpus_path,
+        tmp_path / "out",
+        strategies=tuple(Strategy),
+        shot_counts=(1, 2, 20),
+        shot_order=ShotOrder.SIMILAR_LAST,
+        cache_dir=str(tmp_path / "cache"),
+    )
+    report = run(config, provider=provider)
     prompted = [
         r.prompt_hash
         for r in load_records(tmp_path / "out" / "records.jsonl")
         if r.prompt_hash is not None
     ]
-    assert len(prompted) == 2 * len(DEFAULT_SHOT_COUNTS) * 26
-    assert sorted(map(real_prompt_hash, hashed)) == sorted(prompted)
-    assert encoded_prompts == []
+    assert report.provider_calls == len(prompted) == len(renders)
+    assert sorted(prompting.prompt_hash(text) for _, text in renders) == sorted(prompted)
+    assert {thread for thread, _ in renders} == {threading.get_ident()}
+    assert threading.get_ident() not in generate_threads
 
 
 def test_cold_mock_run_fetches_misses_on_the_calling_thread(
@@ -767,8 +814,8 @@ labels = st.frozensets(st.sampled_from(CweLabel))
             ParseOutcome,
             labels=labels,
             unknown_mentions=st.lists(st.from_regex(r"\A[0-9]+\Z")).map(tuple),
-            empty_parse=st.booleans(),
-        )),
+            empty_parse=st.just(False),
+        ) | st.just(ParseOutcome(frozenset(), (), empty_parse=True))),
         cached=optional(st.booleans()),
         error=optional(st.text()),
     )
@@ -798,6 +845,23 @@ def test_load_records_names_the_file_and_line_of_a_bad_record(
     lines[index] = damage(lines[index])
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(RunnerError, match=re.escape(f"{path}: {message}")):
+        load_records(path)
+
+
+def test_load_records_names_the_field_of_a_nested_check(small_corpus_path, tmp_path):
+    run(make_config(small_corpus_path, tmp_path / "out"), provider=ParrotProvider())
+    path = tmp_path / "out" / "records.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    assert record["parsed"]["labels"]
+    record["parsed"]["empty_parse"] = True
+    lines[1] = json.dumps(record, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    message = (
+        f"{path}: line 2: not a prediction record: ValueError: parsed: "
+        "an empty parse has no labels and no unknown mentions"
+    )
+    with pytest.raises(RunnerError, match=re.escape(message)):
         load_records(path)
 
 
