@@ -16,6 +16,7 @@ from pathlib import Path
 from .config import ConfigError, load_config
 from .corpus import IngestError, dump_jsonl, ingest, validate
 from .embedding import EmbeddingError
+from .fileio import atomic_write_text
 from .llmclient import CACHE_FILENAME, CacheError, ResponseCache
 from .runner import (
     RunnerError,
@@ -47,8 +48,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
-        from .fileio import atomic_write_text
-
         atomic_write_text(out, text)
     else:
         print(text, end="" if text.endswith("\n") else "\n")

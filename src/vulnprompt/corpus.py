@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .fileio import atomic_write_text
-from .labels import ALL_LABELS, CweLabel, is_in_scope, label_codes, label_set
+from .labels import ALL_LABELS, LABEL_BY_CODE, CweLabel, label_codes
 
 SPLITS = ("train", "test")
+FIELDS = ("id", "code", "labels", "split")
 
 # Read under errors="surrogateescape", each byte that is not UTF-8 becomes one
 # of these lone surrogates, which no valid UTF-8 decodes to. An ASCII line
@@ -100,7 +101,7 @@ def ingest(path: str | Path) -> Corpus:
 
     Blank lines are skipped. Bytes that are not UTF-8, malformed JSON,
     missing fields, duplicate ids, and unknown split names raise IngestError
-    with the offending line number.
+    naming the file and the offending line.
     """
     train: list[CodeSample] = []
     test: list[CodeSample] = []
@@ -116,50 +117,49 @@ def ingest(path: str | Path) -> Corpus:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            if not line.isascii() and _UNDECODED_BYTE.search(line):
-                raise IngestError(f"{path}: line {line_no}: not UTF-8 text")
             total += 1
             try:
+                if not line.isascii() and _UNDECODED_BYTE.search(line):
+                    raise IngestError("not UTF-8 text")
                 record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise IngestError("record must be a JSON object")
+                for key in FIELDS:
+                    if key not in record:
+                        raise IngestError(f"missing field {key!r}")
+                sample_id, code, labels, split = map(record.get, FIELDS)
+                if not isinstance(sample_id, str) or not sample_id:
+                    raise IngestError("id must be a non-empty string")
+                if sample_id in seen_ids:
+                    raise IngestError(f"duplicate id {sample_id!r}")
+                if not isinstance(code, str) or not code.strip():
+                    raise IngestError("code must be a non-empty string")
+                if not isinstance(labels, list) or not all(isinstance(item, str) for item in labels):
+                    raise IngestError("labels must be a list of strings")
+                if split not in SPLITS:
+                    raise IngestError(f"unknown split {split!r}")
             except json.JSONDecodeError as exc:
-                raise IngestError(f"line {line_no}: malformed JSON: {exc}") from None
-            if not isinstance(record, dict):
-                raise IngestError(f"line {line_no}: record must be a JSON object")
-            for key in ("id", "code", "labels", "split"):
-                if key not in record:
-                    raise IngestError(f"line {line_no}: missing field {key!r}")
-            sample_id = record["id"]
-            code = record["code"]
-            labels = record["labels"]
-            split = record["split"]
-            if not isinstance(sample_id, str) or not sample_id:
-                raise IngestError(f"line {line_no}: id must be a non-empty string")
-            if sample_id in seen_ids:
-                raise IngestError(f"line {line_no}: duplicate id {sample_id!r}")
-            if not isinstance(code, str) or not code.strip():
-                raise IngestError(f"line {line_no}: code must be a non-empty string")
-            if not isinstance(labels, list) or not all(isinstance(item, str) for item in labels):
-                raise IngestError(f"line {line_no}: labels must be a list of strings")
-            if split not in SPLITS:
-                raise IngestError(f"line {line_no}: unknown split {split!r}")
+                raise IngestError(f"{path}: line {line_no}: malformed JSON: {exc}") from None
+            except IngestError as exc:
+                raise IngestError(f"{path}: line {line_no}: {exc}") from None
             seen_ids.add(sample_id)
 
             if not labels:
                 dropped_non_vulnerable += 1
                 continue
-            in_scope = [code_ for code_ in labels if is_in_scope(code_)]
+            truth = set()
             for code_ in labels:
-                if not is_in_scope(code_):
+                label = LABEL_BY_CODE.get(code_)
+                if label is None:
                     out_of_scope[code_] += 1
-            if not in_scope:
+                else:
+                    truth.add(label)
+            if not truth:
                 dropped_out_of_scope_only += 1
                 continue
 
-            sample = CodeSample(id=sample_id, code=code, truth=label_set(in_scope))
-            if split == "train":
-                train.append(sample)
-            else:
-                test.append(sample)
+            sample = CodeSample(id=sample_id, code=code, truth=frozenset(truth))
+            (train if split == "train" else test).append(sample)
 
     stats = IngestStats(
         total_records=total,

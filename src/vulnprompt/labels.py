@@ -34,6 +34,9 @@ ALL_LABELS: tuple[CweLabel, ...] = tuple(sorted(CweLabel, key=lambda label: labe
 # Each label by its CWE number as a digit string: "119" -> CweLabel.CWE_119.
 LABEL_BY_NUMBER: dict[str, CweLabel] = {str(label.number): label for label in CweLabel}
 
+# Each label by its code: "CWE-119" -> CweLabel.CWE_119.
+LABEL_BY_CODE: dict[str, CweLabel] = {label.value: label for label in CweLabel}
+
 
 def parse_label(code: str) -> CweLabel:
     """Map a label string such as "CWE-119" to its enum member.
@@ -44,10 +47,6 @@ def parse_label(code: str) -> CweLabel:
         return CweLabel(code)
     except ValueError:
         raise UnknownLabelError(f"not an in-scope CWE label: {code!r}") from None
-
-
-def is_in_scope(code: str) -> bool:
-    return any(code == label.value for label in CweLabel)
 
 
 def label_set(codes: Iterable[str]) -> frozenset[CweLabel]:

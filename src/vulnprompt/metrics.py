@@ -71,23 +71,39 @@ class MetricsReport:
             raise MetricsError(f"tp, fp, fn, tn must be >= 0 and sum to {slots}, got {counts}")
 
 
+def rates_from_counts(tp: int, fp: int, fn: int, tn: int) -> dict:
+    """Hamming accuracy and the micro averages, which the pooled counts fix.
+
+    A per-label disagreement is a false positive or a false negative, so
+    Hamming accuracy is one minus (fp + fn) over all tp + fp + fn + tn slots.
+    Zero denominators in the micro averages yield 0.0 rather than an error,
+    so degenerate cells (nothing predicted, or nothing true) still score.
+    """
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    return dict(
+        hamming_accuracy=1.0 - (fp + fn) / (tp + fp + fn + tn),
+        micro_precision=precision,
+        micro_recall=recall,
+        micro_f1=2 * precision * recall / (precision + recall) if precision + recall else 0.0,
+    )
+
+
 def report(pairs) -> MetricsReport:
     """Compute every metric over one list of pairs in a single pass.
 
-    Exact matches, per-label disagreements and the pooled confusion cells are
-    integer counts. The two per-instance overlaps are summed with fsum, which
-    keeps each mean invariant under pair reordering. Zero denominators in the
-    micro averages yield 0.0 rather than an error, so degenerate cells
-    (nothing predicted, or nothing true) still produce a report.
+    Exact matches and the pooled confusion cells are integer counts, from
+    which rates_from_counts takes four of the metrics. The two per-instance
+    overlaps are summed with fsum, which keeps each mean invariant under pair
+    reordering.
     """
-    exact = disagreements = tp = fp = fn = 0
+    exact = tp = fp = fn = 0
     jaccards = []
     truth_overlaps = []
     for p in pairs:
         hits = len(p.pred & p.truth)
         union = len(p.pred | p.truth)
         exact += p.pred == p.truth
-        disagreements += union - hits
         tp += hits
         fp += len(p.pred) - hits
         fn += len(p.truth) - hits
@@ -97,21 +113,16 @@ def report(pairs) -> MetricsReport:
     n = len(jaccards)
     if not n:
         raise MetricsError("metrics need at least one pair")
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    tn = n * N_LABELS - tp - fp - fn
     return MetricsReport(
         n_instances=n,
         n_labels=N_LABELS,
         subset_accuracy=exact / n,
-        hamming_accuracy=1.0 - disagreements / (n * N_LABELS),
         partial_match_accuracy=math.fsum(jaccards) / n,
-        micro_precision=precision,
-        micro_recall=recall,
-        micro_f1=f1,
         tp=tp,
         fp=fp,
         fn=fn,
-        tn=n * N_LABELS - tp - fp - fn,
+        tn=tn,
         partial_match_vs_truth=math.fsum(truth_overlaps) / n,
+        **rates_from_counts(tp, fp, fn, tn),
     )

@@ -13,10 +13,9 @@ flat list of (strategy, k) cells, zero_shot being the single k=0 cell.
 Every cell, whatever its strategy, takes one path. Plan: each test sample
 gets its neighbours (retrieval strategies) and its shots, and a completion
 request unless the cell labels by retrieval. A few-shot request carries only
-its prompt's digest, from the sample's prompting.PromptHasher, which lives
-while one strategy is swept; the prompt is rendered only if the cache misses
-it. Resolve: the requests go to one llmclient.complete call, or retrieval
-labeling unions the neighbours' labels.
+its prompt's digest, from the sample's prompting.PromptHasher; the prompt is
+rendered only if the cache misses it. Resolve: the requests go to one
+llmclient.complete call, or retrieval labeling unions the neighbours' labels.
 Score and write: one constructor turns each sample's plan and result into a
 record, in test-split order; the records are streamed through
 fileio.atomic_open towards records.partial.jsonl, scored, and dropped before
@@ -38,8 +37,8 @@ perturb the payload.
 The annotations of PredictionRecord, CellReport and RunReport are the
 artifacts' format: run() writes records.jsonl and report.json through
 config.to_plain, and RunReport.from_json and load_records read them back through
-config.from_plain. A value of the wrong type, or one that a __post_init__ range
-check refuses, raises RunnerError naming it.
+config.from_plain. A value of the wrong type, one that a __post_init__ check
+refuses, or a cell rate that its counts contradict raises RunnerError naming it.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ from .llmclient import (
     complete,
     oracle_for_corpus,
 )
-from .metrics import LabeledPair, MetricsReport
+from .metrics import LabeledPair, MetricsError, MetricsReport, rates_from_counts
 from .metrics import report as metrics_report
 from .prompting import (
     PROMPT_STRATEGIES,
@@ -177,8 +176,18 @@ class RunReport:
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
+        """Read a report back, checking each cell's rates against its counts."""
         try:
-            return from_plain(cls, json.loads(text), TypeError)
+            report = from_plain(cls, json.loads(text), TypeError)
+            for i, cell in enumerate(report.cells):
+                m = cell.metrics
+                for name, value in rates_from_counts(m.tp, m.fp, m.fn, m.tn).items():
+                    if getattr(m, name) != value:
+                        raise MetricsError(
+                            f"cells[{i}].metrics: {name} is {getattr(m, name)}, but tp {m.tp}, "
+                            f"fp {m.fp}, fn {m.fn}, tn {m.tn} give {value}"
+                        )
+            return report
         except (TypeError, ValueError) as exc:  # ValueError covers bad JSON
             raise RunnerError(f"not a run report: {type(exc).__name__}: {exc}") from None
 
@@ -367,7 +376,7 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
             temperature=settings.temperature,
             max_output_tokens=settings.max_output_tokens,
         )
-        # One PromptHasher per test sample, for the strategy being swept.
+        # One PromptHasher per test sample.
         hashers: dict = {}
 
         def plan(sample, strategy: Strategy, k: int) -> tuple:
@@ -411,11 +420,7 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
         # so the finished cells land as the checkpoint.
         encoder = json.JSONEncoder(sort_keys=True)
         with atomic_open(partial_path) as raw, io.TextIOWrapper(raw, encoding="utf-8") as sink:
-            swept = None
             for strategy, k in sweep:
-                if strategy is not swept:
-                    hashers.clear()
-                    swept = strategy
                 plans = [plan(sample, strategy, k) for sample in corpus.test]
                 if strategy is Strategy.RETRIEVAL_LABELING:
                     results = [retrieval_label(neighbors, samples_by_id) for neighbors, _ in plans]

@@ -22,6 +22,7 @@ from vulnprompt.cli import EXIT_DATA, EXIT_OK, EXIT_PROVIDER, EXIT_USAGE, main
 from vulnprompt.corpus import dump_jsonl, ingest
 from vulnprompt.embedding import EmbeddingInput, EmbeddingVector, HashedBagOfTokensBackend
 from vulnprompt.llmclient import CACHE_FILENAME
+from vulnprompt.metrics import rates_from_counts
 from vulnprompt.runner import build_index_from_corpus
 from vulnprompt.vecindex import IndexEntry, build, load_index, save_index
 
@@ -688,6 +689,45 @@ def test_report_with_an_inconsistent_cell_exits_3_naming_it(
     err = capsys.readouterr().err
     assert f"{report_path}: not a run report: {message}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["table", "curves"])
+@pytest.mark.parametrize(
+    "index, rates, message",
+    [
+        (0, {}, None),
+        (
+            0,
+            {"hamming_accuracy": 0.1, "micro_precision": 0.9},
+            "cells[0].metrics: hamming_accuracy is 0.1, but tp 2, fp 8, fn 6, tn 16 give 0.5625",
+        ),
+        (
+            3,
+            {"micro_precision": 0.9},
+            "cells[3].metrics: micro_precision is 0.9, but tp 2, fp 8, fn 6, tn 16 give 0.2",
+        ),
+    ],
+    ids=["consistent", "hamming-and-precision", "precision-in-cell-3"],
+)
+def test_report_whose_rates_contradict_their_counts_exits_3_naming_the_cell(
+    tmp_path, capsys, report_json, command, index, rates, message
+):
+    """Cell `index` is recounted as tp 2, fp 8, fn 6, tn 16 over 8 instances,
+    with the rates those counts give except for `rates`."""
+    data = json.loads(report_json)
+    data["cells"][index]["metrics"].update(
+        n_instances=8, tp=2, fp=8, fn=6, tn=16, **{**rates_from_counts(2, 8, 6, 16), **rates}
+    )
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["report", command, "--run", str(tmp_path)])
+    err = capsys.readouterr().err
+    if message is None:
+        assert code == EXIT_OK
+    else:
+        assert code == EXIT_DATA
+        assert f"{report_path}: not a run report: MetricsError: {message}" in err
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["stats", "clear"])

@@ -71,6 +71,14 @@ def test_ingest_keeps_in_scope_labels_of_mixed_rows(tmp_path):
     assert corpus.stats.retained == 1
 
 
+def test_ingest_keeps_exactly_the_four_label_codes_in_scope(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(path, [record("a", labels=["CWE-787", "CWE-120", "CWE-0119", "CWE-787"])])
+    corpus = ingest(path)
+    assert corpus.train[0].truth == frozenset({CweLabel.CWE_120})
+    assert corpus.stats.out_of_scope_counts == {"CWE-787": 2, "CWE-0119": 1}
+
+
 def test_ingest_retained_plus_dropped_equals_total(tmp_path):
     path = tmp_path / "corpus.jsonl"
     write_jsonl(
@@ -149,6 +157,28 @@ def test_ingest_missing_field_rejected(tmp_path):
         json.dumps({"id": "a", "code": "x", "labels": []}) + "\n", encoding="utf-8"
     )
     with pytest.raises(IngestError, match="missing field 'split'"):
+        ingest(path)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"id": "b", "code": "caf\xe9"}'.encode("latin-1"), "not UTF-8 text"),
+        (b"{not json", "malformed JSON: Expecting property name"),
+        (b"[1]", "record must be a JSON object"),
+        (b'{"id": "b", "code": "x", "labels": []}', "missing field 'split'"),
+        (json.dumps(record("")).encode(), "id must be a non-empty string"),
+        (json.dumps(record("a", split="test")).encode(), "duplicate id 'a'"),
+        (json.dumps(record("b", code=" ")).encode(), "code must be a non-empty string"),
+        (json.dumps(record("b", labels=[119])).encode(), "labels must be a list of strings"),
+        (json.dumps(record("b", split="dev")).encode(), "unknown split 'dev'"),
+    ],
+    ids=["utf-8", "json", "object", "field", "id", "duplicate", "code", "labels", "split"],
+)
+def test_every_ingest_line_error_names_the_file_and_line(tmp_path, line, message):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(json.dumps(record("a")).encode() + b"\n\n" + line + b"\n")
+    with pytest.raises(IngestError, match=re.escape(f"{path}: line 3: {message}")):
         ingest(path)
 
 

@@ -1,4 +1,4 @@
-"""Label vocabulary: parsing, scope checks, and canonical formatting."""
+"""Label vocabulary: parsing and canonical formatting."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from vulnprompt.labels import (
     CweLabel,
     UnknownLabelError,
     format_labels,
-    is_in_scope,
     label_codes,
     label_set,
     parse_label,
@@ -42,12 +41,6 @@ def test_parse_label_accepts_in_scope():
 def test_parse_label_rejects_out_of_scope(code):
     with pytest.raises(UnknownLabelError):
         parse_label(code)
-
-
-def test_is_in_scope():
-    assert is_in_scope("CWE-120")
-    assert not is_in_scope("CWE-787")
-    assert not is_in_scope("CWE-0119")
 
 
 def test_label_set_deduplicates():

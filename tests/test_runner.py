@@ -34,7 +34,7 @@ from vulnprompt.llmclient import (
     RemoteChatProvider,
     oracle_for_corpus,
 )
-from vulnprompt.metrics import MetricsReport
+from vulnprompt.metrics import MetricsReport, rates_from_counts
 from vulnprompt.prompting import ShotOrder, Strategy
 from vulnprompt.runner import (
     CellReport,
@@ -976,11 +976,18 @@ def test_cell_report_out_of_range_rejected(k, failures, message):
         dataclasses.replace(cell, k=k, failures=failures)
 
 
+def counted(tp, fp, fn, tn):
+    """Counts with the rates they give, as MetricsReport fields."""
+    return dict(tp=tp, fp=fp, fn=fn, tn=tn, **rates_from_counts(tp, fp, fn, tn))
+
+
 def test_run_report_json_round_trip():
     cells = [
-        fabricated_cell(Strategy.ZERO_SHOT, 0),
-        dataclasses.replace(fabricated_cell(Strategy.RANDOM_FEW_SHOT, 1, tp=0, tn=38), failures=3),
-        fabricated_cell(Strategy.RETRIEVAL_LABELING, 20, micro_f1=1, micro_recall=0.0),
+        fabricated_cell(Strategy.ZERO_SHOT, 0, **counted(1, 1, 1, 37)),
+        dataclasses.replace(
+            fabricated_cell(Strategy.RANDOM_FEW_SHOT, 1, **counted(0, 1, 1, 38)), failures=3
+        ),
+        fabricated_cell(Strategy.RETRIEVAL_LABELING, 20, **{**counted(4, 0, 0, 36), "micro_f1": 1}),
     ]
     report = dataclasses.replace(
         fabricated_report(cells),
