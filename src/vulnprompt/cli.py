@@ -46,6 +46,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _at_least_one(text: str) -> int:
+    """An argparse type: an int >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
         atomic_write_text(out, text)
@@ -168,7 +179,7 @@ def build_parser() -> _Parser:
 
     p_synth = sub.add_parser("synth", help="generate the synthetic corpus")
     p_synth.add_argument("--seed", type=int, default=7)
-    p_synth.add_argument("--n-per-label", type=int, default=25)
+    p_synth.add_argument("--n-per-label", type=_at_least_one, default=25)
     p_synth.add_argument("--out", required=True, help="corpus JSONL output path")
     p_synth.set_defaults(fn=_cmd_synth)
 

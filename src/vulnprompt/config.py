@@ -2,17 +2,21 @@
 
 The dataclass annotations are the schema: unknown keys and mistyped values
 fail loudly instead of silently running a default or another setting.
-from_plain, which applies them, also reads the run artifacts back; to_plain writes them.
+from_plain, which applies them, also reads the run artifacts back. to_plain
+writes report.json, and json_writer writes each line of records.jsonl as the
+same JSON text, from one template per dataclass.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import math
 import operator
 import re
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -238,6 +242,54 @@ def _writer(hint):
     if issubclass(hint, Enum):
         return operator.attrgetter("value")
     return _same
+
+
+@functools.cache
+def json_writer(hint):
+    """The function value -> text equal to json.dumps(to_plain(value),
+    sort_keys=True) for values annotated `hint`, built once per hint. A
+    dataclass fills one template, its keys in sorted order, from one
+    attrgetter; enum members and label sets have cached texts; a str is
+    escaped by the function json.dumps calls. Any other value goes through
+    json.dumps itself."""
+    origin = get_origin(hint)
+    if origin is UnionType:  # `X | None`
+        inner = json_writer(get_args(hint)[0])
+        return lambda value: "null" if value is None else inner(value)
+    if origin is frozenset:  # of enum members
+        plain = _writer(hint)
+        return functools.cache(lambda subset: json.dumps(plain(subset)))
+    if origin is tuple:
+        if get_args(hint)[0] is float:
+            return _float_list_text
+        item = json_writer(get_args(hint)[0])
+        return lambda value: "[" + ", ".join(map(item, value)) + "]"
+    if is_dataclass(hint):
+        hints = get_type_hints(hint)
+        names = sorted(hints)
+        writers = tuple(json_writer(hints[name]) for name in names)
+        template = "{%s}" % ", ".join(encode_basestring_ascii(name) + ": %s" for name in names)
+        # attrgetter returns a tuple from two names up.
+        values = operator.attrgetter(*names) if len(names) > 1 else (
+            lambda value: [getattr(value, name) for name in names]
+        )
+        return lambda value: template % tuple([w(v) for w, v in zip(writers, values(value))])
+    if issubclass(hint, Enum):
+        return {member: json.dumps(member.value) for member in hint}.__getitem__
+    if hint is str:
+        return encode_basestring_ascii
+    if hint is int:
+        return int.__repr__
+    if hint is bool:
+        return {True: "true", False: "false"}.__getitem__
+    return functools.partial(json.dumps, sort_keys=True)
+
+
+def _float_list_text(value) -> str:
+    """A tuple of floats as JSON: its list repr, unless that holds nan or inf,
+    which JSON spells NaN and Infinity."""
+    text = repr(list(value))
+    return json.dumps(list(value)) if "n" in text else text
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -12,21 +12,15 @@ dropped during ingestion and counted in the stats.
 from __future__ import annotations
 
 import json
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, is_utf8_text
 from .labels import ALL_LABELS, LABEL_BY_CODE, CweLabel, label_codes
 
 SPLITS = ("train", "test")
 FIELDS = ("id", "code", "labels", "split")
-
-# Read under errors="surrogateescape", each byte that is not UTF-8 becomes one
-# of these lone surrogates, which no valid UTF-8 decodes to. An ASCII line
-# holds none, so it needs no scan.
-_UNDECODED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 class IngestError(ValueError):
@@ -119,7 +113,9 @@ def ingest(path: str | Path) -> Corpus:
                 continue
             total += 1
             try:
-                if not line.isascii() and _UNDECODED_BYTE.search(line):
+                # Read under errors="surrogateescape", each byte that is not
+                # UTF-8 becomes a lone surrogate, which no valid UTF-8 decodes to.
+                if not is_utf8_text(line):
                     raise IngestError("not UTF-8 text")
                 record = json.loads(line)
                 if not isinstance(record, dict):
@@ -134,6 +130,10 @@ def ingest(path: str | Path) -> Corpus:
                     raise IngestError(f"duplicate id {sample_id!r}")
                 if not isinstance(code, str) or not code.strip():
                     raise IngestError("code must be a non-empty string")
+                # A JSON escape such as \ud800 decodes to a lone surrogate.
+                for key, text in (("id", sample_id), ("code", code)):
+                    if not is_utf8_text(text):
+                        raise IngestError(f"{key} is not UTF-8 text: it holds a lone surrogate")
                 if not isinstance(labels, list) or not all(isinstance(item, str) for item in labels):
                     raise IngestError("labels must be a list of strings")
                 if split not in SPLITS:

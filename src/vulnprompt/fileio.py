@@ -1,11 +1,22 @@
-"""Atomic file writes so interrupted runs never leave truncated artifacts."""
+"""Atomic file writes so interrupted runs never leave truncated artifacts,
+and the check that a string can be written as UTF-8 at all."""
 
 from __future__ import annotations
 
 import os
+import re
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def is_utf8_text(text: str) -> bool:
+    """Whether `text` encodes as UTF-8: it holds no lone surrogate, such as a
+    JSON escape like \\ud800 decodes to, or a byte that is not UTF-8 read
+    under errors="surrogateescape". An ASCII string needs no scan."""
+    return text.isascii() or _SURROGATE.search(text) is None
 
 
 @contextmanager

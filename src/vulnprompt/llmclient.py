@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Protocol
 
 from ._http import JsonPostClient
+from .fileio import is_utf8_text
 from .labels import format_labels
 from .prompting import extract_test_code, prompt_hash, shot_label_lines
 
@@ -390,8 +391,9 @@ class RemoteChatProvider(_CountingProvider):
 
     Request:  POST endpoint {"model", "prompt", "temperature", "max_output_tokens"}
     Response: 200 with {"text": ...} for an answer, or {"refusal": ...} when
-    the model declines. Refusals raise immediately and are never retried;
-    transport failures and 5xx/429 statuses retry with exponential backoff.
+    the model declines. Refusals, and answers holding a lone surrogate (not
+    UTF-8 text), raise immediately and are never retried; transport failures
+    and 5xx/429 statuses retry with exponential backoff.
     """
 
     def __init__(
@@ -433,4 +435,8 @@ class RemoteChatProvider(_CountingProvider):
             raise ProviderRefusalError(str(body["refusal"]))
         if "text" not in body:
             raise ProviderError("endpoint response has neither text nor refusal")
-        return str(body["text"])
+        text = str(body["text"])
+        # Such an answer could be neither cached nor written out as UTF-8.
+        if not is_utf8_text(text):
+            raise ProviderError("endpoint answer is not UTF-8 text: it holds a lone surrogate")
+        return text

@@ -35,10 +35,12 @@ byte-identical; timestamps live in a separate metadata block so they never
 perturb the payload.
 
 The annotations of PredictionRecord, CellReport and RunReport are the
-artifacts' format: run() writes records.jsonl and report.json through
-config.to_plain, and RunReport.from_json and load_records read them back through
-config.from_plain. A value of the wrong type, one that a __post_init__ check
-refuses, or a cell rate that its counts contradict raises RunnerError naming it.
+artifacts' format. run() writes each line of records.jsonl through
+config.json_writer, one template filled per record, and report.json through
+config.to_plain; both give the text of json.dumps with sorted keys.
+RunReport.from_json and load_records read them back through config.from_plain.
+A value of the wrong type, one that a __post_init__ check refuses, or a cell
+rate that its counts contradict raises RunnerError naming it.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, from_plain, to_plain
+from .config import ConfigError, ExperimentConfig, from_plain, json_writer, to_plain
 from .corpus import Corpus, ingest
 from .embedding import EmbeddingInput, HashedBagOfTokensBackend, RemoteEmbeddingBackend
 from .fileio import atomic_open, atomic_write_text
@@ -293,22 +295,22 @@ def _record(test_id, strategy, k, neighbors, request, result) -> PredictionRecor
     and a CompletionResult or a ProviderError for the prompt strategies. The
     record's prompt_hash is the digest the request's cache key was built on.
     """
-    fields = dict(test_id=test_id, strategy=strategy, k=k)
-    if neighbors is not None:
-        fields["neighbor_ids"] = tuple(n.sample_id for n in neighbors)
-        fields["similarities"] = tuple(n.similarity for n in neighbors)
+    if neighbors is None:
+        neighbor_ids = similarities = None
+    else:
+        neighbor_ids = tuple([n.sample_id for n in neighbors])
+        similarities = tuple([n.similarity for n in neighbors])
     if request is None:
-        return PredictionRecord(pred=result, **fields)
-    fields["prompt_hash"] = request.prompt_sha256
+        return PredictionRecord(test_id, strategy, k, result, neighbor_ids, similarities)
     if isinstance(result, ProviderError):
-        return PredictionRecord(pred=frozenset(), error=str(result), **fields)
+        return PredictionRecord(
+            test_id, strategy, k, frozenset(), neighbor_ids, similarities,
+            request.prompt_sha256, error=str(result),
+        )
     outcome = parse_labels(result.text)
     return PredictionRecord(
-        pred=outcome.labels,
-        raw_text=result.text,
-        parsed=outcome,
-        cached=result.cached,
-        **fields,
+        test_id, strategy, k, outcome.labels, neighbor_ids, similarities,
+        request.prompt_sha256, result.text, outcome, result.cached,
     )
 
 
@@ -418,7 +420,7 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
             ) from None
         # Nothing lands if the loop raises; a strict abort breaks out of it,
         # so the finished cells land as the checkpoint.
-        encoder = json.JSONEncoder(sort_keys=True)
+        write = json_writer(PredictionRecord)
         with atomic_open(partial_path) as raw, io.TextIOWrapper(raw, encoding="utf-8") as sink:
             for strategy, k in sweep:
                 plans = [plan(sample, strategy, k) for sample in corpus.test]
@@ -434,9 +436,7 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
                     _record(sample.id, strategy, k, *planned, result)
                     for sample, planned, result in zip(corpus.test, plans, results)
                 ]
-                sink.writelines(
-                    encoder.encode(to_plain(r)) + "\n" for r in cell_records
-                )
+                sink.writelines(write(r) + "\n" for r in cell_records)
                 sink.flush()
                 cells.append(_score_cell(strategy, k, cell_records, samples_by_id))
     if failure is not None:

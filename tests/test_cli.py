@@ -539,6 +539,43 @@ def test_a_corpus_that_is_not_utf8_exits_3_naming_file_and_line(workdir, command
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["ingest", "run"])
+@pytest.mark.parametrize("key", ["id", "code"])
+def test_a_corpus_string_with_an_escaped_lone_surrogate_exits_3(workdir, command, key):
+    lines = (workdir / "corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = lines[2].replace(f'"{key}": "', f'"{key}": "\\ud800', 1)
+    corpus_path = workdir / "surrogate.jsonl"
+    corpus_path.write_text("".join(lines), encoding="utf-8")
+    if command == "ingest":
+        proc = run_cli("ingest", "--input", str(corpus_path))
+    else:
+        proc = run_cli("run", "--config", str(write_config(workdir, corpus_path=str(corpus_path))))
+    assert proc.returncode == EXIT_DATA
+    assert f"{corpus_path}: line 3: {key} is not UTF-8 text" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_strict_run_on_an_answer_with_a_lone_surrogate_exits_2_with_a_checkpoint(
+    workdir, monkeypatch, capsys
+):
+    class Response:
+        status_code = 200
+
+        def json(self):
+            return {"text": "CWE-119 \ud800"}
+
+    monkeypatch.setattr("requests.Session.post", lambda *args, **kwargs: Response())
+    config_path = write_config(
+        workdir,
+        provider={"type": "remote", "endpoint": "http://llm.invalid/v1", "max_in_flight": 1},
+        cache_dir=str(workdir / "cache"),
+    )
+    assert main(["run", "--config", str(config_path), "--strict"]) == EXIT_PROVIDER
+    err = capsys.readouterr().err
+    assert "endpoint answer is not UTF-8 text: it holds a lone surrogate" in err
+    assert f"checkpoint: {workdir / 'out' / 'records.partial.jsonl'}" in err
+
+
 def test_a_config_that_is_not_utf8_exits_1_naming_the_file(workdir):
     config_path = write_config(workdir)
     config_path.write_bytes(config_path.read_bytes() + b"# caf\xe9\n")
@@ -763,6 +800,17 @@ def test_run_with_a_file_for_output_dir_exits_3(workdir, capsys):
     assert main(["run", "--config", str(config_path)]) == EXIT_DATA
     assert f"output_dir {target} is not a usable directory" in capsys.readouterr().err
     assert target.read_text(encoding="utf-8") == "not a directory"
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_synth_with_fewer_than_one_sample_per_label_is_a_usage_error(tmp_path, value):
+    out = tmp_path / "corpus.jsonl"
+    proc = run_cli("synth", "--n-per-label", value, "--out", str(out))
+    assert proc.returncode == EXIT_USAGE
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert errors == [f"vulnprompt synth: error: argument --n-per-label: must be >= 1, got {value}"]
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_usage_errors_exit_1(capsys):

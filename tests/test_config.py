@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import re
+from dataclasses import dataclass
 
 import pytest
 import yaml
@@ -14,6 +16,7 @@ from vulnprompt.config import (
     ExperimentConfig,
     ProviderSettings,
     from_plain,
+    json_writer,
     load_config,
     to_plain,
 )
@@ -273,6 +276,32 @@ def test_provider_settings_validation():
         ProviderSettings(max_in_flight=0)
     with pytest.raises(ConfigError, match="retries must be >= 1"):
         ProviderSettings(retries=0)
+
+
+@dataclass(frozen=True)
+class OneField:
+    name: str
+
+
+@dataclass(frozen=True)
+class NoFields:
+    pass
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        ExperimentConfig(corpus_path="c", output_dir="o", seed=-3),
+        ExperimentConfig(
+            corpus_path="caf\u00e9", output_dir="o", provider=ProviderSettings(temperature=0.5)
+        ),
+        OneField("x"),
+        NoFields(),
+    ],
+    ids=["config", "non-ascii-config", "one-field", "no-fields"],
+)
+def test_json_writer_writes_the_text_json_dumps_writes(value):
+    assert json_writer(type(value))(value) == json.dumps(to_plain(value), sort_keys=True)
 
 
 def test_to_plain_serializes_enums():

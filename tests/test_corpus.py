@@ -123,6 +123,14 @@ def test_ingest_bytes_that_are_not_utf8_name_file_and_line(tmp_path):
         ingest(path)
 
 
+def test_ingest_accepts_an_escaped_surrogate_pair_and_non_ascii_text(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(path, [record("\u00e9", code="/* \ud83d\ude00 caf\u00e9 */ int f();")])
+    assert json.dumps("\U0001f600") == '"\\ud83d\\ude00"'
+    (sample,) = ingest(path).train
+    assert (sample.id, sample.code) == ("\u00e9", "/* \U0001f600 caf\u00e9 */ int f();")
+
+
 def test_ingest_malformed_json_reports_line_number(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text(json.dumps(record("a")) + "\n{not json\n", encoding="utf-8")
@@ -172,8 +180,14 @@ def test_ingest_missing_field_rejected(tmp_path):
         (json.dumps(record("b", code=" ")).encode(), "code must be a non-empty string"),
         (json.dumps(record("b", labels=[119])).encode(), "labels must be a list of strings"),
         (json.dumps(record("b", split="dev")).encode(), "unknown split 'dev'"),
+        # json.dumps escapes a lone surrogate as \udfff, which decodes back to it.
+        (json.dumps(record("b\udfff")).encode(), "id is not UTF-8 text"),
+        (json.dumps(record("b", code="int x = 1; /* \ud800 */")).encode(), "code is not UTF-8 text"),
     ],
-    ids=["utf-8", "json", "object", "field", "id", "duplicate", "code", "labels", "split"],
+    ids=[
+        "utf-8", "json", "object", "field", "id", "duplicate", "code", "labels", "split",
+        "id-surrogate", "code-surrogate",
+    ],
 )
 def test_every_ingest_line_error_names_the_file_and_line(tmp_path, line, message):
     path = tmp_path / "corpus.jsonl"

@@ -446,6 +446,19 @@ def test_remote_provider_refusal_not_retried():
     assert len(session.requests) == 1
 
 
+def test_remote_answer_with_a_lone_surrogate_is_neither_retried_nor_cached(tmp_path):
+    session = StubSession([StubResponse(200, {"text": "CWE-119 \ud800"})])
+    provider = RemoteChatProvider(
+        endpoint="https://llm.test/v1", session=session, sleep=lambda s: None
+    )
+    with closing(ResponseCache(tmp_path)) as cache:
+        (result,) = complete([request()], provider, cache)
+        assert isinstance(result, ProviderError)
+        assert str(result) == "endpoint answer is not UTF-8 text: it holds a lone surrogate"
+        assert cache.stats()["entries"] == 0
+    assert len(session.requests) == provider.call_count == 1
+
+
 def test_remote_provider_retries_transport_then_succeeds():
     session = StubSession(
         [ConnectionError("down"), StubResponse(500), StubResponse(200, {"text": "ok"})]

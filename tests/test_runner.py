@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 import sqlite3
 import threading
@@ -20,6 +21,7 @@ from vulnprompt.config import (
     ExperimentConfig,
     ProviderSettings,
     from_plain,
+    json_writer,
     to_plain,
 )
 from vulnprompt.corpus import dump_jsonl, ingest
@@ -193,6 +195,44 @@ def test_non_json_reply_lands_in_failures(small_corpus_path, small_corpus, tmp_p
     with pytest.raises(StrictRunError) as excinfo:
         run(strict, provider=provider())
     assert excinfo.value.partial_records_path is not None
+
+
+class SurrogateAnswerSession:
+    """Answers every POST with a 200 whose text holds a lone surrogate."""
+
+    class Response:
+        status_code = 200
+
+        def json(self):
+            return {"text": "CWE-119 \ud800"}
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        return self.Response()
+
+
+def test_an_answer_with_a_lone_surrogate_lands_in_failures_uncached(
+    small_corpus_path, small_corpus, tmp_path
+):
+    def provider():
+        return RemoteChatProvider(
+            endpoint="https://llm.test/v1", session=SurrogateAnswerSession(), sleep=lambda s: None
+        )
+
+    cache_dir = tmp_path / "cache"
+    config = make_config(small_corpus_path, tmp_path / "out", cache_dir=str(cache_dir))
+    report = run(config, provider=provider())
+    assert all(cell.failures == len(small_corpus.test) for cell in report.cells)
+    records = load_records(tmp_path / "out" / "records.jsonl")
+    assert {r.error for r in records} == {
+        "endpoint answer is not UTF-8 text: it holds a lone surrogate"
+    }
+    with closing(llmclient.ResponseCache(cache_dir)) as cache:
+        assert cache.stats()["entries"] == 0
+
+    strict = dataclasses.replace(config, output_dir=str(tmp_path / "strict"), strict=True)
+    with pytest.raises(StrictRunError) as excinfo:
+        run(strict, provider=provider())
+    assert load_records(excinfo.value.partial_records_path) == []
 
 
 def test_strict_mode_aborts_with_checkpoint(small_corpus_path, tmp_path):
@@ -788,7 +828,7 @@ def test_prediction_record_json_round_trip():
 
 def read_back(record):
     """What load_records makes of the line that run() writes for `record`."""
-    line = json.dumps(to_plain(record), sort_keys=True)
+    line = json_writer(PredictionRecord)(record)
     return from_plain(PredictionRecord, json.loads(line), TypeError)
 
 
@@ -822,6 +862,38 @@ labels = st.frozensets(st.sampled_from(CweLabel))
 )
 def test_any_record_reads_back_as_written(record):
     assert read_back(record) == record
+
+
+# Any code point, lone surrogates (category Cs) and non-ASCII text included.
+any_text = st.text(st.characters(exclude_categories=()) | st.sampled_from("\ud800\udfff\xe9\u2603"))
+awkward_floats = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-7]
+)
+
+
+@given(
+    st.builds(
+        PredictionRecord,
+        test_id=any_text,
+        strategy=st.sampled_from(Strategy),
+        k=st.integers(min_value=0),
+        pred=labels,
+        neighbor_ids=optional(st.lists(any_text, max_size=3).map(tuple)),
+        similarities=optional(st.lists(awkward_floats, max_size=3).map(tuple)),
+        prompt_hash=optional(any_text),
+        raw_text=optional(any_text),
+        parsed=optional(st.builds(
+            ParseOutcome,
+            labels=labels,
+            unknown_mentions=st.lists(any_text, max_size=2).map(tuple),
+            empty_parse=st.just(False),
+        ) | st.just(ParseOutcome(frozenset(), (), empty_parse=True))),
+        cached=optional(st.booleans()),
+        error=optional(any_text),
+    )
+)
+def test_the_record_writer_writes_the_text_json_dumps_writes(record):
+    assert json_writer(PredictionRecord)(record) == json.dumps(to_plain(record), sort_keys=True)
 
 
 @pytest.mark.parametrize(
