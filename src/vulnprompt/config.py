@@ -23,6 +23,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
+from .fileio import is_utf8_text
 from .llmclient import CompletionRequest
 from .prompting import TEMPLATE_ID, ShotOrder, Strategy
 
@@ -77,6 +78,8 @@ class ProviderSettings:
             raise ConfigError(f"retries must be >= 1, got {self.retries}")
         if not 0 < self.timeout_s < math.inf:  # also false for NaN
             raise ConfigError(f"timeout_s must be a finite number > 0, got {self.timeout_s}")
+        if not is_utf8_text(self.fixed_text):  # it is cached as UTF-8
+            raise ConfigError("fixed_text is not UTF-8 text: it holds a lone surrogate")
         try:  # the checks every request of the run would make, before any call
             CompletionRequest(self.model_id, "-", self.temperature, self.max_output_tokens)
         except ValueError as exc:

@@ -1,13 +1,38 @@
 """Exact flat vector index with cosine top-k retrieval, and its file format.
 
-Corpora in this task are small (hundreds to low thousands of functions), so
-brute-force search over a dense matrix is both the simplest and the fastest
-correct choice. Rows rank by their float64 cosine similarity, and only
-bitwise-equal similarities tie; those break by ascending sample id, which
-makes rankings reproducible and prefix-consistent across different k. Two
-cosines that are equal in exact arithmetic can still round one ULP apart,
-and then rounding, not the id, picks their order (ROADMAP, "Exact retrieval
-for hashed vectors").
+Corpora in this task are small (hundreds to tens of thousands of functions),
+so brute-force search over a dense matrix is both the simplest and the
+fastest correct choice. A row's similarity to a query is the float64 value
+that one single-threaded matrix-vector product `matrix @ query` gives it.
+Rows rank by that similarity, and only bitwise-equal similarities tie; those
+break by ascending sample id, which makes rankings reproducible and
+prefix-consistent across different k. Two cosines that are equal in exact
+arithmetic can still round one ULP apart, and then rounding, not the id,
+picks their order (ROADMAP, "Exact retrieval for hashed vectors").
+
+`top_k` ranks a block of queries with one matrix product, which rounds
+differently from the matrix-vector product, and then recomputes the
+similarity of the few rows that can still rank. That selection loses no row.
+Rows and queries are unit vectors, so a dot product of dimension m rounded in
+any order is within gamma_m = m*u / (1 - m*u) of its exact value (u = 2**-53;
+Higham 2002, section 3.1), and two roundings of one similarity are within
+2 * gamma_m of each other. `_rounding_bound` is that bound times a safety
+factor of 4, about 2.3e-13 at dimension 256. Since k rows have an
+approximate similarity of at least the k-th best approximate one, the k-th
+best similarity is at least that value minus the bound. So a row in the top
+k, or tied at its boundary, has an approximate similarity of at least the
+k-th best approximate one minus twice the bound, and every such row is kept.
+
+The recomputation rests on how OpenBLAS's dgemv rounds a row: by the group
+of rows it computes it with, at the row's own address. Over a whole matrix
+it computes rows in groups of four from the first row, and the last whole
+group together with the `n % 4` rows after it. So `matrix[lo:hi] @ query`
+over a view of a row's group gives the row the bits that a single-threaded
+product over the whole matrix gives it. OpenBLAS runs such a small product
+on one thread, so the similarities do not depend on the BLAS thread count;
+a product over the whole matrix split between threads at a row that is not
+a multiple of four rounds some rows differently. This was measured with
+OpenBLAS 0.3.31, and `tests/test_blocked_ranking.py` checks both claims.
 
 An index file is one JSON header line (format, ids, label codes and the
 `built_from` stamp) followed by the matrix as one .npy payload, so the rows
@@ -16,7 +41,9 @@ load bit for bit as they were held, and nothing in the file is unpickled.
 
 from __future__ import annotations
 
+import functools
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,9 +77,10 @@ class IndexEntry:
             raise VecIndexError(f"entry {self.sample_id!r}: truth must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neighbor:
-    """A retrieval hit: the neighbor's id and its cosine similarity."""
+    """A retrieval hit: the neighbor's id and its cosine similarity. A run
+    holds one per hit of every test query's ranking, so it has no __dict__."""
 
     sample_id: str
     similarity: float
@@ -72,6 +100,11 @@ class VectorIndex:
     matrix: np.ndarray
     truths: tuple
     built_from: dict | None = None
+
+    @functools.cached_property
+    def id_list(self) -> list:
+        """`ids` as one list of str, built once, which every Neighbor shares."""
+        return self.ids.tolist()
 
     @property
     def dimension(self) -> int:
@@ -122,40 +155,80 @@ def build(entries, count: int | None = None, built_from: dict | None = None) -> 
     return VectorIndex(np.array(ids), matrix, tuple(truths), built_from)
 
 
-def top_k(index: VectorIndex, query: EmbeddingVector, k: int) -> list:
-    """Exact top-k by float64 cosine similarity.
+def top_k(index: VectorIndex, query: EmbeddingVector | Sequence[EmbeddingVector], k: int) -> list:
+    """Exact top-k by float64 cosine similarity, for one query or a block.
 
+    `query` is one EmbeddingVector, for which the result is its ranking, or a
+    sequence of them, for which it is one ranking per query, in order, found
+    with one matrix product for the whole sequence (see the module
+    docstring); callers bound its memory by the number of queries they pass.
     Bitwise-equal similarities break by ascending sample id; exactly equal
-    cosines that round apart keep their rounded order (see the module
-    docstring). Returns min(k, len(index)) neighbors in rank order. The
-    ranking for k is always a prefix of the ranking for k+1.
+    cosines that round apart keep their rounded order. A ranking holds
+    min(k, len(index)) neighbors in rank order, and the ranking for k is
+    always a prefix of the ranking for k+1.
     """
+    single = isinstance(query, EmbeddingVector)
+    queries = (query,) if single else tuple(query)
     if k < 1:
         raise VecIndexError(f"k must be >= 1, got {k}")
-    if query.dim != index.dimension:
-        raise VecIndexError(
-            f"query dim {query.dim} does not match index dim {index.dimension}"
-        )
-    sims = index.matrix @ query.values
-    neg = -sims
+    for vector in queries:
+        if vector.dim != index.dimension:
+            raise VecIndexError(
+                f"query dim {vector.dim} does not match index dim {index.dimension}"
+            )
+    if not queries:
+        return []
+    matrix = index.matrix
     take = min(k, len(index))
-    # Only rows at least as similar as the take-th best can be returned, so
-    # sort just those, keeping every row tied with it for the id tie-break.
-    # `~(neg > kth)` rather than `neg <= kth` keeps NaN rows, which a full
-    # sort places last, as candidates.
-    kth = np.partition(neg, take - 1)[take - 1]
-    rows = np.flatnonzero(~(neg > kth))
-    order = rows[np.lexsort((index.ids[rows], neg[rows]))]
-    return [
-        Neighbor(sample_id=str(index.ids[i]), similarity=float(sims[i]))
-        for i in order[:take]
-    ]
+    block = np.stack([vector.values for vector in queries])
+    approx = block @ matrix.T
+    # Each query's take-th best approximate similarity, less twice the
+    # rounding bound, is the floor for its candidates. `~(approx < floor)`
+    # rather than `approx >= floor` keeps NaN rows, which a full sort places
+    # last, as candidates.
+    cut = len(index) - take
+    floor = np.partition(approx, cut, axis=1)[:, cut] - 2 * _rounding_bound(index.dimension)
+    candidates = ~(approx < floor[:, None])
+    del approx
+    ids = index.id_list
+    rankings = []
+    for vector, keep in zip(queries, candidates):
+        rows = np.flatnonzero(keep)
+        sims = _exact_similarities(matrix, vector.values, rows.tolist())
+        order = np.lexsort((index.ids[rows], -sims))[:take]
+        hits = zip(rows[order].tolist(), sims[order].tolist())
+        rankings.append([Neighbor(ids[row], sim) for row, sim in hits])
+    return rankings[0] if single else rankings
+
+
+def _rounding_bound(dimension: int) -> float:
+    """Bound on the difference between two roundings of one similarity of
+    unit vectors: 4 * 2 * gamma_m (see the module docstring)."""
+    mu = dimension * 2.0**-53
+    return 4 * 2 * mu / (1 - mu)
+
+
+def _exact_similarities(matrix: np.ndarray, query: np.ndarray, rows: list) -> np.ndarray:
+    """The similarities a single-threaded `matrix @ query` gives the ascending
+    `rows`, each computed over a view of the row's group (see the module
+    docstring)."""
+    n = len(matrix)
+    last = max(n - n % 4 - 4, 0)  # the final group runs from here to row n
+    sims = np.empty(len(rows))
+    group = -1
+    for j, row in enumerate(rows):
+        lo = min(row - row % 4, last)
+        if lo != group:
+            group = lo
+            values = (matrix[lo:lo + 4] if lo < last else matrix[lo:]) @ query
+        sims[j] = values[row - lo]
+    return sims
 
 
 def save_index(index: VectorIndex, path: str | Path) -> None:
     """Write one JSON header line, then the matrix as one .npy payload."""
     labels = [label_codes(truth) for truth in index.truths]
-    header = {"format": INDEX_FORMAT, "ids": index.ids.tolist(), "labels": labels,
+    header = {"format": INDEX_FORMAT, "ids": index.id_list, "labels": labels,
               "built_from": index.built_from}
     with atomic_open(path) as handle:
         handle.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")

@@ -576,6 +576,21 @@ def test_strict_run_on_an_answer_with_a_lone_surrogate_exits_2_with_a_checkpoint
     assert f"checkpoint: {workdir / 'out' / 'records.partial.jsonl'}" in err
 
 
+def test_a_fixed_text_with_a_lone_surrogate_exits_1_before_any_call(workdir):
+    config_path = write_config(
+        workdir,
+        provider={"type": "fixed", "fixed_text": "CWE-119 \ud800"},
+        cache_dir=str(workdir / "cache"),
+        strategies=["zero_shot"],
+    )
+    proc = run_cli("run", "--config", str(config_path))
+    assert proc.returncode == EXIT_USAGE
+    assert "fixed_text is not UTF-8 text: it holds a lone surrogate" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (workdir / "cache").exists()
+    assert not (workdir / "out").exists()
+
+
 def test_a_config_that_is_not_utf8_exits_1_naming_the_file(workdir):
     config_path = write_config(workdir)
     config_path.write_bytes(config_path.read_bytes() + b"# caf\xe9\n")

@@ -464,13 +464,16 @@ def test_retrieval_records_carry_k_neighbors(small_corpus_path, small_corpus, tm
 def test_each_query_is_ranked_once_at_the_largest_k(
     small_corpus_path, small_corpus, tmp_path, hashed_backend, monkeypatch
 ):
-    ks = []
+    ranked, blocks = [], []
 
-    def counting_top_k(index, query, k):
-        ks.append(k)
-        return top_k(index, query, k)
+    def recording_top_k(index, queries, k):
+        blocks.append(len(queries))
+        ranked.extend((query, k) for query in queries)
+        return top_k(index, queries, k)
 
-    monkeypatch.setattr(runner, "top_k", counting_top_k)
+    # 4 test queries in blocks of 3: one full block and one partial block.
+    monkeypatch.setattr(runner, "QUERY_BLOCK", 3)
+    monkeypatch.setattr(runner, "top_k", recording_top_k)
     shot_counts = (1, 2, 3, len(small_corpus.train) + 5)
     config = make_config(
         small_corpus_path,
@@ -479,7 +482,11 @@ def test_each_query_is_ranked_once_at_the_largest_k(
         shot_counts=shot_counts,
     )
     run(config, provider=ParrotProvider(), embed_backend=hashed_backend)
-    assert ks == [max(shot_counts)] * len(small_corpus.test)
+    assert blocks == [3, 1]
+    assert ranked == [
+        (hashed_backend.embed(EmbeddingInput(code=sample.code)), max(shot_counts))
+        for sample in small_corpus.test
+    ]
 
     index = build_index_from_corpus(small_corpus, hashed_backend, include_labels=True)
     samples_by_id = small_corpus.by_id()
