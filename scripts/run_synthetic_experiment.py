@@ -13,9 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from vulnprompt.config import DEFAULT_SHOT_COUNTS, ExperimentConfig
+from vulnprompt.config import DEFAULT_SHOT_COUNTS, ExperimentConfig, ProviderSettings
 from vulnprompt.corpus import dump_jsonl, ingest, validate
-from vulnprompt.llmclient import ParrotProvider, oracle_for_corpus
 from vulnprompt.prompting import Strategy
 from vulnprompt.runner import emit_curves, emit_table, run
 from vulnprompt.synthetic import make_synthetic_corpus
@@ -68,19 +67,17 @@ def main(argv=None) -> int:
     )
     if args.mock == "oracle":
         strategies = (Strategy.ZERO_SHOT,) + strategies
-        provider = oracle_for_corpus(loaded)
-    else:
-        provider = ParrotProvider()
 
     config = ExperimentConfig(
         corpus_path=str(corpus_path),
         output_dir=str(args.out),
         cache_dir=str(args.out / "cache"),
+        provider=ProviderSettings(type=args.mock),
         strategies=strategies,
         shot_counts=tuple(args.shot_counts),
         seed=args.run_seed,
     )
-    report = run(config, provider=provider)
+    report = run(config)
 
     print()
     print(emit_table(report), end="")

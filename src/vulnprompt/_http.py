@@ -4,8 +4,12 @@ Both endpoints speak the same transport contract: a JSON request body, an
 optional bearer key read from an environment variable, 5xx and 429 answers
 retried with exponential backoff, any other non-200 status fatal, and a JSON
 object as the answer. Each client passes in its own exception classes so its
-callers catch the same types they always have. The module imports nothing
-from the package, so either client module can import it without a cycle.
+callers catch the same types they always have. The transport settings and
+their defaults (timeout, retries, backoff base, session, sleep) are declared
+here only: a client names just the settings it adds and hands every other
+keyword through to `JsonPostClient`, so an unknown one raises `TypeError`
+here. The module imports nothing from the package, so either client module
+can import it without a cycle.
 """
 
 from __future__ import annotations
@@ -32,11 +36,11 @@ class JsonPostClient:
         endpoint: str,
         *,
         api_key_env: str,
-        timeout_s: float,
-        retries: int,
-        retry_base_delay_s: float,
         transport_error: type,
         error: type,
+        timeout_s: float = 30.0,
+        retries: int = 3,
+        retry_base_delay_s: float = 0.5,
         session=None,
         sleep=time.sleep,
     ) -> None:

@@ -21,9 +21,7 @@ import functools
 import hashlib
 import math
 import re
-import time
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
@@ -129,14 +127,6 @@ def token_coordinate(token: str, dimension: int) -> tuple:
     return index, sign
 
 
-class EmbeddingBackend(Protocol):
-    dimension: int
-    # What fixes the backend's vectors; an index records it in its stamp.
-    identity: dict
-
-    def embed(self, item: EmbeddingInput) -> EmbeddingVector: ...
-
-
 class HashedBagOfTokensBackend:
     """Deterministic offline embedding via signed token hashing.
 
@@ -184,7 +174,9 @@ class RemoteEmbeddingBackend:
     sum over the returned floats: unlike hashed counts these are arbitrary
     reals, so a reordered (pairwise or BLAS) sum could move the last bit of a
     stored vector. Transport failures and 5xx/429 statuses are retried with
-    exponential backoff; anything else fails fast.
+    exponential backoff; anything else fails fast. `timeout_s`, `retries`,
+    `retry_base_delay_s`, `session` and `sleep` pass through to
+    `JsonPostClient`, which declares their defaults.
     """
 
     def __init__(
@@ -192,13 +184,10 @@ class RemoteEmbeddingBackend:
         endpoint: str,
         model: str,
         dimension: int,
+        *,
         api_key_env: str = "EMBEDDING_API_KEY",
-        timeout_s: float = 30.0,
-        retries: int = 3,
-        retry_base_delay_s: float = 0.5,
         max_input_chars: int = 100_000,
-        session=None,
-        sleep=time.sleep,
+        **http,
     ) -> None:
         self.model = model
         self.dimension = dimension
@@ -206,13 +195,9 @@ class RemoteEmbeddingBackend:
         self._http = JsonPostClient(
             endpoint,
             api_key_env=api_key_env,
-            timeout_s=timeout_s,
-            retries=retries,
-            retry_base_delay_s=retry_base_delay_s,
             transport_error=EmbeddingTransportError,
             error=EmbeddingError,
-            session=session,
-            sleep=sleep,
+            **http,
         )
 
     @property
@@ -233,9 +218,13 @@ class RemoteEmbeddingBackend:
                 f" values, expected {self.dimension}"
             )
         try:
-            values = [float(v) for v in raw]
-        except (TypeError, ValueError, OverflowError):
-            raise EmbeddingError("endpoint returned a non-numeric embedding value") from None
+            # type(), not isinstance(): a JSON boolean is an int to isinstance,
+            # and float() would take it as 1 or 0, or a numeric string as its number.
+            values = [float(v) for v in raw if type(v) in (int, float)]
+        except OverflowError:
+            values = []
+        if len(values) != self.dimension:
+            raise EmbeddingError("endpoint returned a non-numeric embedding value")
         norm = math.sqrt(sum(v**2 for v in values))
         if norm == 0.0:
             raise EmbeddingError("endpoint returned a zero vector")

@@ -17,7 +17,6 @@ import json
 import math
 import sqlite3
 import threading
-import time
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -391,34 +390,29 @@ class RemoteChatProvider(_CountingProvider):
 
     Request:  POST endpoint {"model", "prompt", "temperature", "max_output_tokens"}
     Response: 200 with {"text": ...} for an answer, or {"refusal": ...} when
-    the model declines. Refusals, and answers holding a lone surrogate (not
-    UTF-8 text), raise immediately and are never retried; transport failures
-    and 5xx/429 statuses retry with exponential backoff.
+    the model declines. Refusals, answers that are not a string, and answers
+    holding a lone surrogate (not UTF-8 text) raise immediately and are never
+    retried; transport failures and 5xx/429 statuses retry with exponential
+    backoff. `timeout_s`, `retries`, `retry_base_delay_s`, `session` and
+    `sleep` pass through to `JsonPostClient`, which declares their defaults.
     """
 
     def __init__(
         self,
         endpoint: str,
+        *,
         api_key_env: str = "LLM_API_KEY",
-        timeout_s: float = 30.0,
-        retries: int = 3,
-        retry_base_delay_s: float = 0.5,
         max_in_flight: int = 4,
-        session=None,
-        sleep=time.sleep,
+        **http,
     ) -> None:
         super().__init__()
         self.max_in_flight = max_in_flight
         self._http = JsonPostClient(
             endpoint,
             api_key_env=api_key_env,
-            timeout_s=timeout_s,
-            retries=retries,
-            retry_base_delay_s=retry_base_delay_s,
             transport_error=ProviderTransportError,
             error=ProviderError,
-            session=session,
-            sleep=sleep,
+            **http,
         )
 
     def generate(self, request: CompletionRequest) -> str:
@@ -435,7 +429,9 @@ class RemoteChatProvider(_CountingProvider):
             raise ProviderRefusalError(str(body["refusal"]))
         if "text" not in body:
             raise ProviderError("endpoint response has neither text nor refusal")
-        text = str(body["text"])
+        text = body["text"]
+        if not isinstance(text, str):
+            raise ProviderError(f"endpoint text is not a string, got {type(text).__name__}")
         # Such an answer could be neither cached nor written out as UTF-8.
         if not is_utf8_text(text):
             raise ProviderError("endpoint answer is not UTF-8 text: it holds a lone surrogate")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from .corpus import CodeSample, Corpus, IngestStats
+from .corpus import CodeSample, Corpus
 from .labels import LABEL_BY_NUMBER, label_set
 
 _POOLS = {
@@ -189,12 +189,4 @@ def make_synthetic_corpus(seed: int, n_per_label: int) -> Corpus:
                 )
                 add(sample, j)
 
-    total = len(train) + len(test)
-    stats = IngestStats(
-        total_records=total,
-        retained=total,
-        dropped_non_vulnerable=0,
-        dropped_out_of_scope_only=0,
-        out_of_scope_counts={},
-    )
-    return Corpus(train=tuple(train), test=tuple(test), stats=stats)
+    return Corpus(train=tuple(train), test=tuple(test))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from http_stub import StubResponse, StubSession
 from vulnprompt import embedding
 from vulnprompt.embedding import (
     EmbeddingError,
@@ -29,35 +30,6 @@ from vulnprompt.runner import build_index_from_corpus
 def unit(values):
     norm = math.sqrt(sum(v * v for v in values))
     return [v / norm for v in values]
-
-
-class StubResponse:
-    def __init__(self, status_code, body=None, text=""):
-        self.status_code = status_code
-        self._body = body
-        self.text = text
-
-    def json(self):
-        if isinstance(self._body, Exception):
-            raise self._body
-        return self._body
-
-
-class StubSession:
-    """Canned responses in order; records every request made."""
-
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.requests = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.requests.append({"url": url, "json": json})
-        if not self.responses:
-            raise AssertionError("no canned response left")
-        item = self.responses.pop(0)
-        if isinstance(item, Exception):
-            raise item
-        return item
 
 
 def test_vector_requires_unit_norm():
@@ -281,8 +253,11 @@ def test_remote_oversize_precheck_makes_no_call():
         ([None, 1.0, 0.0, 0.0], "non-numeric"),
         (["x", 1.0, 0.0, 0.0], "non-numeric"),
         ([10**400, 1.0, 0.0, 0.0], "non-numeric"),
+        ([True, False, False, False], "non-numeric"),
+        (["0.6", 0.8, 0.0, 0.0], "non-numeric"),
+        ([0.0, 0.0, 0.0, 0.0], "zero vector"),
     ],
-    ids=["nan", "inf", "null", "string", "huge-int"],
+    ids=["nan", "inf", "null", "string", "huge-int", "bool", "numeric-string", "zero"],
 )
 def test_remote_bad_embedding_values_are_typed_errors(values, error):
     session = StubSession([StubResponse(200, {"embedding": values})])
@@ -296,6 +271,58 @@ def test_remote_bad_embedding_values_are_typed_errors(values, error):
     with pytest.raises(EmbeddingError, match=error):
         backend.embed(EmbeddingInput(code="int x;"))
     assert len(session.requests) == 1
+
+
+@pytest.mark.parametrize("key", ["sk-test", "", None], ids=["set", "empty", "unset"])
+def test_remote_sends_a_bearer_key_only_when_embedding_api_key_holds_one(monkeypatch, key):
+    if key is None:
+        monkeypatch.delenv("EMBEDDING_API_KEY", raising=False)
+    else:
+        monkeypatch.setenv("EMBEDDING_API_KEY", key)
+    monkeypatch.setenv("LLM_API_KEY", "the-chat-key")
+    session = StubSession([StubResponse(200, {"embedding": [3.0, 4.0, 0.0, 0.0]})])
+    backend = RemoteEmbeddingBackend(
+        endpoint="https://embed.test/v1", model="embed-small", dimension=4, session=session
+    )
+    backend.embed(EmbeddingInput(code="int x;"))
+    (sent,) = session.requests
+    expected = {"Content-Type": "application/json"}
+    if key:
+        expected["Authorization"] = f"Bearer {key}"
+    assert sent["url"] == "https://embed.test/v1"
+    assert sent["headers"] == expected
+    assert sent["timeout"] == 30.0
+
+
+def test_remote_hands_every_transport_setting_to_the_post(monkeypatch):
+    monkeypatch.setenv("CUSTOM_EMBEDDING_KEY", "sk-custom")
+    session = StubSession([StubResponse(503)] * 2)
+    slept = []
+    backend = RemoteEmbeddingBackend(
+        "https://embed.test/v1",
+        "embed-small",
+        4,
+        api_key_env="CUSTOM_EMBEDDING_KEY",
+        timeout_s=5.0,
+        retries=2,
+        retry_base_delay_s=0.25,
+        max_input_chars=10,
+        session=session,
+        sleep=slept.append,
+    )
+    with pytest.raises(EmbeddingTransportError, match="2 attempts"):
+        backend.embed(EmbeddingInput(code="int x;"))
+    assert [sent["timeout"] for sent in session.requests] == [5.0, 5.0]
+    assert {sent["headers"]["Authorization"] for sent in session.requests} == {"Bearer sk-custom"}
+    assert slept == [0.25]
+    assert backend.max_input_chars == 10
+
+
+def test_remote_refuses_unknown_and_positional_settings():
+    with pytest.raises(TypeError, match="timout_s"):
+        RemoteEmbeddingBackend("https://embed.test/v1", "embed-small", 4, timout_s=5.0)
+    with pytest.raises(TypeError):
+        RemoteEmbeddingBackend("https://embed.test/v1", "embed-small", 4, "EMBEDDING_API_KEY")
 
 
 def test_remote_dimension_mismatch():

@@ -10,6 +10,7 @@ from contextlib import closing
 
 import pytest
 
+from http_stub import StubResponse, StubSession
 from vulnprompt import llmclient
 from vulnprompt.corpus import CodeSample
 from vulnprompt.labels import label_set
@@ -29,35 +30,6 @@ from vulnprompt.llmclient import (
     complete,
 )
 from vulnprompt.prompting import prompt_hash, render
-
-
-class StubResponse:
-    def __init__(self, status_code, body=None, text="", headers=None):
-        self.status_code = status_code
-        self._body = body
-        self.text = text
-        # Without headers the stub has no `headers` attribute at all, like the
-        # minimal responses some injected sessions return.
-        if headers is not None:
-            self.headers = headers
-
-    def json(self):
-        if isinstance(self._body, Exception):
-            raise self._body
-        return self._body
-
-
-class StubSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.requests = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.requests.append({"url": url, "json": json})
-        item = self.responses.pop(0)
-        if isinstance(item, Exception):
-            raise item
-        return item
 
 
 def request(prompt="Classify this.", **kw):
@@ -459,6 +431,54 @@ def test_remote_answer_with_a_lone_surrogate_is_neither_retried_nor_cached(tmp_p
     assert len(session.requests) == provider.call_count == 1
 
 
+@pytest.mark.parametrize("key", ["sk-test", "", None], ids=["set", "empty", "unset"])
+def test_remote_provider_sends_a_bearer_key_only_when_llm_api_key_holds_one(monkeypatch, key):
+    if key is None:
+        monkeypatch.delenv("LLM_API_KEY", raising=False)
+    else:
+        monkeypatch.setenv("LLM_API_KEY", key)
+    monkeypatch.setenv("EMBEDDING_API_KEY", "the-embedding-key")
+    session = StubSession([StubResponse(200, {"text": "CWE-119"})])
+    provider = RemoteChatProvider(endpoint="https://llm.test/v1", session=session)
+    provider.generate(request())
+    (sent,) = session.requests
+    expected = {"Content-Type": "application/json"}
+    if key:
+        expected["Authorization"] = f"Bearer {key}"
+    assert sent["url"] == "https://llm.test/v1"
+    assert sent["headers"] == expected
+    assert sent["timeout"] == 30.0
+
+
+def test_remote_provider_hands_every_transport_setting_to_the_post(monkeypatch):
+    monkeypatch.setenv("CUSTOM_LLM_KEY", "sk-custom")
+    session = StubSession([StubResponse(503)] * 2)
+    slept = []
+    provider = RemoteChatProvider(
+        "https://llm.test/v1",
+        api_key_env="CUSTOM_LLM_KEY",
+        timeout_s=5.0,
+        retries=2,
+        retry_base_delay_s=0.25,
+        max_in_flight=2,
+        session=session,
+        sleep=slept.append,
+    )
+    with pytest.raises(ProviderTransportError, match="2 attempts"):
+        provider.generate(request())
+    assert [sent["timeout"] for sent in session.requests] == [5.0, 5.0]
+    assert {sent["headers"]["Authorization"] for sent in session.requests} == {"Bearer sk-custom"}
+    assert slept == [0.25]
+    assert provider.max_in_flight == 2
+
+
+def test_remote_provider_refuses_unknown_and_positional_settings():
+    with pytest.raises(TypeError, match="timout_s"):
+        RemoteChatProvider("https://llm.test/v1", timout_s=5.0)
+    with pytest.raises(TypeError):
+        RemoteChatProvider("https://llm.test/v1", "LLM_API_KEY")
+
+
 def test_remote_provider_retries_transport_then_succeeds():
     session = StubSession(
         [ConnectionError("down"), StubResponse(500), StubResponse(200, {"text": "ok"})]
@@ -521,8 +541,9 @@ def test_remote_provider_non_retryable_status():
         (ValueError("Expecting value: line 1 column 1 (char 0)"), "non-JSON body"),
         (None, "not a JSON object"),
         (["CWE-119"], "not a JSON object"),
+        ({}, "neither text nor refusal"),
     ],
-    ids=["non_json", "null", "list"],
+    ids=["non_json", "null", "list", "empty_object"],
 )
 def test_remote_provider_malformed_body_is_typed_and_not_retried(body, message):
     session = StubSession([StubResponse(200, body)])

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from http_stub import StubResponse, StubSession
 from vulnprompt import llmclient, prompting, runner
 from vulnprompt.config import (
     DEFAULT_SHOT_COUNTS,
@@ -233,6 +234,27 @@ def test_an_answer_with_a_lone_surrogate_lands_in_failures_uncached(
     with pytest.raises(StrictRunError) as excinfo:
         run(strict, provider=provider())
     assert load_records(excinfo.value.partial_records_path) == []
+
+
+@pytest.mark.parametrize(
+    ("text", "type_name"),
+    [(None, "NoneType"), (42, "int"), (True, "bool")],
+    ids=["null", "number", "true"],
+)
+def test_an_answer_that_is_not_a_string_lands_in_failures_uncached(
+    small_corpus_path, small_corpus, tmp_path, text, type_name
+):
+    session = StubSession([StubResponse(200, {"text": text})] * 100)
+    provider = RemoteChatProvider(endpoint="https://llm.test/v1", session=session)
+    cache_dir = tmp_path / "cache"
+    config = make_config(small_corpus_path, tmp_path / "out", cache_dir=str(cache_dir))
+    report = run(config, provider=provider)
+    assert all(cell.failures == len(small_corpus.test) for cell in report.cells)
+    records = load_records(tmp_path / "out" / "records.jsonl")
+    assert {r.error for r in records} == {f"endpoint text is not a string, got {type_name}"}
+    assert len(session.requests) == provider.call_count > 0
+    with closing(llmclient.ResponseCache(cache_dir)) as cache:
+        assert cache.stats()["entries"] == 0
 
 
 def test_strict_mode_aborts_with_checkpoint(small_corpus_path, tmp_path):
