@@ -5,14 +5,18 @@ Uses the hashed embedding backend and a mock provider, so no network or API
 key is needed. Emits the standard run artifacts plus the comparison table on
 stdout. Good as a smoke test of the whole pipeline and as a template for
 configuring real runs.
+
+Fails the way `vulnprompt` does: a usage or configuration error exits 1 and
+a data error (such as fewer than five samples per label, which leaves no test
+split) exits 3, each with an `error:` line on stderr and no traceback.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 
+from vulnprompt.cli import _at_least_one, _Parser, _run_command
 from vulnprompt.config import DEFAULT_SHOT_COUNTS, ExperimentConfig, ProviderSettings
 from vulnprompt.corpus import dump_jsonl, ingest, validate
 from vulnprompt.prompting import Strategy
@@ -21,9 +25,9 @@ from vulnprompt.synthetic import make_synthetic_corpus
 
 
 def parse_args(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = _Parser(description=__doc__)
     parser.add_argument("--seed", type=int, default=7, help="corpus generator seed")
-    parser.add_argument("--n-per-label", type=int, default=25)
+    parser.add_argument("--n-per-label", type=_at_least_one, default=25)
     parser.add_argument("--run-seed", type=int, default=0, help="shot selection seed")
     parser.add_argument(
         "--mock",
@@ -44,8 +48,7 @@ def parse_args(argv=None):
     return parser.parse_args(argv)
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
+def sweep(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
 
     corpus = make_synthetic_corpus(seed=args.seed, n_per_label=args.n_per_label)
@@ -94,6 +97,10 @@ def main(argv=None) -> int:
         rendered = "  ".join(f"k={k}: {value:.4f}" for k, value in points)
         print(f"  {strategy:20s} {rendered}")
     return 0
+
+
+def main(argv=None) -> int:
+    return _run_command(sweep, parse_args(argv))
 
 
 if __name__ == "__main__":

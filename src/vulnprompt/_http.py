@@ -25,10 +25,14 @@ class JsonPostClient:
     A transport failure or a 5xx/429 status is retried up to `retries`
     attempts in total, sleeping `retry_base_delay_s * 2**(attempt - 1)`
     before each retry, or longer when a 429 carries a numeric `Retry-After`
-    (seconds); exhausting them raises `transport_error`. Any other
-    non-200 status, and a 200 whose body is not a JSON object, raises
-    `error` at once. The client sets no concurrency limit of its own: the
-    caller decides how many POSTs are outstanding at once.
+    (seconds, capped at `timeout_s`); exhausting them raises
+    `transport_error`. A transport failure is an `OSError` (every
+    `requests.RequestException` is one) or a `ValueError` (a header or URL
+    that cannot be encoded); any other exception from the session is a fault
+    of the caller's and propagates. Any other non-200 status, and a 200
+    whose body is not a JSON object, raises `error` at once. The client sets
+    no concurrency limit of its own: the caller decides how many POSTs are
+    outstanding at once.
     """
 
     def __init__(
@@ -84,7 +88,7 @@ class JsonPostClient:
                     headers=self._headers(),
                     timeout=self.timeout_s,
                 )
-            except Exception as exc:
+            except (OSError, ValueError) as exc:
                 last_error = self._transport_error(f"request failed: {exc}")
                 continue
             status = response.status_code
@@ -93,7 +97,7 @@ class JsonPostClient:
             if status >= 500 or status == 429:
                 last_error = self._transport_error(f"endpoint returned status {status}")
                 if status == 429:
-                    retry_after = _retry_after_s(response)
+                    retry_after = min(_retry_after_s(response), self.timeout_s)
                 continue
             raise self._error(f"endpoint returned status {status}: {response.text[:200]}")
         raise self._transport_error(

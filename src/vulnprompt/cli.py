@@ -193,14 +193,11 @@ def build_parser() -> _Parser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def _run_command(fn, args) -> int:
+    """Run one command; a known failure becomes an `error:` line on stderr and
+    its exit code. The quick-start script runs its sweep through this too."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return args.fn(args)
+        return fn(args)
     except StrictRunError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.partial_records_path:
@@ -213,6 +210,15 @@ def main(argv=None) -> int:
     except (IngestError, RunnerError, VecIndexError, EmbeddingError, CacheError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    return _run_command(args.fn, args)
 
 
 if __name__ == "__main__":

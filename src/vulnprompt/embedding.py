@@ -225,7 +225,10 @@ class RemoteEmbeddingBackend:
             values = []
         if len(values) != self.dimension:
             raise EmbeddingError("endpoint returned a non-numeric embedding value")
-        norm = math.sqrt(sum(v**2 for v in values))
+        try:
+            norm = math.sqrt(sum(v**2 for v in values))
+        except OverflowError:
+            raise EmbeddingError("endpoint returned a value whose square overflows") from None
         if norm == 0.0:
             raise EmbeddingError("endpoint returned a zero vector")
         return EmbeddingVector(values=[v / norm for v in values])

@@ -19,11 +19,13 @@ import yaml
 
 import vulnprompt
 from vulnprompt.cli import EXIT_DATA, EXIT_OK, EXIT_PROVIDER, EXIT_USAGE, main
-from vulnprompt.corpus import dump_jsonl, ingest
+from vulnprompt.corpus import Corpus, dump_jsonl, ingest
 from vulnprompt.embedding import EmbeddingInput, EmbeddingVector, HashedBagOfTokensBackend
+from vulnprompt.labels import CweLabel
 from vulnprompt.llmclient import CACHE_FILENAME
 from vulnprompt.metrics import rates_from_counts
-from vulnprompt.runner import build_index_from_corpus
+from vulnprompt.prompting import Strategy
+from vulnprompt.runner import build_index_from_corpus, load_records
 from vulnprompt.vecindex import IndexEntry, build, load_index, save_index
 
 
@@ -826,6 +828,76 @@ def test_synth_with_fewer_than_one_sample_per_label_is_a_usage_error(tmp_path, v
     assert errors == [f"vulnprompt synth: error: argument --n-per-label: must be >= 1, got {value}"]
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def test_run_with_a_fixed_provider_predicts_its_text_for_every_prompt(workdir):
+    strategies = ["zero_shot", "random_few_shot", "retrieval_few_shot", "retrieval_labeling"]
+    config_path = write_config(
+        workdir, strategies=strategies, provider={"type": "fixed", "fixed_text": "CWE-476"}
+    )
+    assert main(["run", "--config", str(config_path)]) == EXIT_OK
+    records = load_records(workdir / "out" / "records.jsonl")
+    prompted = [r for r in records if r.strategy is not Strategy.RETRIEVAL_LABELING]
+    assert {r.strategy.value for r in prompted} == set(strategies[:3])
+    assert all(r.pred == frozenset({CweLabel.CWE_476}) for r in prompted)
+
+
+@pytest.mark.parametrize(
+    ("keep", "strategies", "message"),
+    [
+        (
+            lambda c: Corpus(train=c.train, test=()),
+            ["retrieval_few_shot"],
+            "corpus has no test samples",
+        ),
+        (
+            lambda c: Corpus(train=(), test=c.test),
+            ["retrieval_labeling"],
+            "cannot build an index from an empty train split",
+        ),
+    ],
+    ids=["train-only", "test-only"],
+)
+def test_run_over_a_corpus_with_one_split_exits_3(workdir, capsys, keep, strategies, message):
+    dump_jsonl(keep(ingest(workdir / "corpus.jsonl")), workdir / "corpus.jsonl")
+    config_path = write_config(workdir, strategies=strategies)
+    assert main(["run", "--config", str(config_path)]) == EXIT_DATA
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["- a\n- b\n", ""], ids=["list", "empty"])
+def test_a_config_whose_root_is_not_a_mapping_exits_1(tmp_path, capsys, text):
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text(text, encoding="utf-8")
+    assert main(["run", "--config", str(config_path)]) == EXIT_USAGE
+    assert "config root must be a mapping" in capsys.readouterr().err
+
+
+QUICK_START = Path(__file__).resolve().parents[1] / "scripts" / "run_synthetic_experiment.py"
+
+
+@pytest.mark.parametrize(
+    ("args", "code", "message"),
+    [
+        (["--n-per-label", "0"], EXIT_USAGE, "error: argument --n-per-label: must be >= 1, got 0"),
+        (["--shot-counts", "0"], EXIT_USAGE, "error: shot counts must be integers >= 1, got 0"),
+        (["--n-per-label", "1"], EXIT_DATA, "error: corpus has no test samples"),
+        (["--n-per-label", "4"], EXIT_DATA, "error: corpus has no test samples"),
+    ],
+    ids=["no-samples", "zero-shots", "one-per-label", "four-per-label"],
+)
+def test_the_quick_start_script_fails_as_the_cli_does(tmp_path, args, code, message):
+    src = str(Path(vulnprompt.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, str(QUICK_START), *args, "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=False,
+    )
+    assert proc.returncode == code
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_usage_errors_exit_1(capsys):

@@ -206,6 +206,22 @@ def test_remote_transport_failure_exhausts_retries():
     assert len(session.requests) == 3
 
 
+def test_remote_lets_a_session_fault_propagate_unretried():
+    session = StubSession([])
+    slept = []
+    backend = RemoteEmbeddingBackend(
+        endpoint="https://embed.test/v1",
+        model="embed-small",
+        dimension=4,
+        session=session,
+        sleep=slept.append,
+    )
+    with pytest.raises(AssertionError, match="no canned response left"):
+        backend.embed(EmbeddingInput(code="int x;"))
+    assert len(session.requests) == 1
+    assert slept == []
+
+
 @pytest.mark.parametrize(
     ("body", "message"),
     [
@@ -256,8 +272,12 @@ def test_remote_oversize_precheck_makes_no_call():
         ([True, False, False, False], "non-numeric"),
         (["0.6", 0.8, 0.0, 0.0], "non-numeric"),
         ([0.0, 0.0, 0.0, 0.0], "zero vector"),
+        ([1e200, 0.0, 0.0, 0.0], "square overflows"),
     ],
-    ids=["nan", "inf", "null", "string", "huge-int", "bool", "numeric-string", "zero"],
+    ids=[
+        "nan", "inf", "null", "string", "huge-int", "bool", "numeric-string", "zero",
+        "square-overflows",
+    ],
 )
 def test_remote_bad_embedding_values_are_typed_errors(values, error):
     session = StubSession([StubResponse(200, {"embedding": values})])

@@ -496,13 +496,17 @@ def test_remote_provider_retries_transport_then_succeeds():
     ("first", "sleeps"),
     [
         (StubResponse(429, headers={"Retry-After": "3"}), [3.0, 1.0]),
+        (StubResponse(429, headers={"Retry-After": "1e9"}), [30.0, 1.0]),
         (StubResponse(429, headers={"Retry-After": "0"}), [0.5, 1.0]),
         (StubResponse(429, headers={"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"}), [0.5, 1.0]),
         (StubResponse(429, headers={}), [0.5, 1.0]),
         (StubResponse(429), [0.5, 1.0]),
         (StubResponse(503, headers={"Retry-After": "3"}), [0.5, 1.0]),
     ],
-    ids=["seconds", "zero", "http-date", "absent", "no-headers-attribute", "not-a-429"],
+    ids=[
+        "seconds", "past-the-timeout", "zero", "http-date", "absent", "no-headers-attribute",
+        "not-a-429",
+    ],
 )
 def test_remote_provider_honours_retry_after_on_429(first, sleeps):
     session = StubSession([first, StubResponse(503), StubResponse(200, {"text": "ok"})])
@@ -512,8 +516,21 @@ def test_remote_provider_honours_retry_after_on_429(first, sleeps):
     )
     assert provider.generate(request()) == "ok"
     assert len(session.requests) == 3
-    # The wait a 429 asks for covers only the retry right after it.
+    # The wait a 429 asks for covers only the retry right after it, and is
+    # capped at the client's timeout_s (30 s by default).
     assert slept == sleeps
+
+
+def test_remote_provider_lets_a_session_fault_propagate_unretried():
+    session = StubSession([])
+    slept = []
+    provider = RemoteChatProvider(
+        endpoint="https://llm.test/v1", session=session, sleep=slept.append
+    )
+    with pytest.raises(AssertionError, match="no canned response left"):
+        provider.generate(request())
+    assert len(session.requests) == 1
+    assert slept == []
 
 
 def test_remote_provider_exhausted_retries():
