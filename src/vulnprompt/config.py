@@ -2,9 +2,11 @@
 
 The dataclass annotations are the schema: unknown keys and mistyped values
 fail loudly instead of silently running a default or another setting.
-from_plain, which applies them, also reads the run artifacts back. to_plain
-writes report.json, and json_writer writes each line of records.jsonl as the
-same JSON text, from one template per dataclass.
+from_plain, which applies them, also reads the run artifacts back. It raises
+TypeError naming the dotted path of a value that does not fit, and load_config
+turns that into a ConfigError. to_plain writes report.json. json_writer writes
+each line of records.jsonl as the same JSON text, from one template per
+dataclass; it shares no code with to_plain, so to_plain can check its output.
 """
 
 from __future__ import annotations
@@ -135,52 +137,48 @@ class ExperimentConfig:
             )
 
 
-def from_plain(cls, data, error):
+def from_plain(cls, data):
     """Build the dataclass `cls` from plain data, as JSON or YAML decodes it,
     converting each value to its annotation: a list to a tuple or frozenset, a
     string to an enum, a mapping to a nested dataclass; an int passes as a float,
     a bool not as an int. A value that does not fit, or a missing or unknown key,
-    raises `error` naming its path, such as ``cells[0].metrics.micro_f1``. A
+    raises TypeError naming its path, such as ``cells[0].metrics.micro_f1``. A
     nested dataclass's own check keeps its exception type, and its message is
     prefixed with that dataclass's path, such as ``cells[0].metrics: ``."""
-    return _converter(cls, error)(data, "")
+    return _converter(cls)(data, "")
 
 
 @functools.cache
-def _converter(hint, error):
+def _converter(hint):
     """The function (value, key) -> value that converts to `hint`, built once per hint."""
     origin = get_origin(hint)
     if origin is UnionType:  # `X | None`
-        inner = _converter(get_args(hint)[0], error)
+        inner = _converter(get_args(hint)[0])
         return lambda value, key: None if value is None else inner(value, key)
     if origin in (tuple, frozenset):
-        item = _converter(get_args(hint)[0], error)
+        item = _converter(get_args(hint)[0])
 
         def convert_sequence(value, key):
             if type(value) is not list:
-                raise error(f"{key} must be a list, got {type(value).__name__}")
+                raise TypeError(f"{key} must be a list, got {type(value).__name__}")
             return origin([item(v, f"{key}[{i}]") for i, v in enumerate(value)])
 
         return convert_sequence
     if is_dataclass(hint):
-        converters = {name: _converter(h, error) for name, h in get_type_hints(hint).items()}
+        converters = {name: _converter(h) for name, h in _hints(hint).items()}
         required = {
             f.name for f in fields(hint) if f.default is MISSING and f.default_factory is MISSING
         }
 
         def convert_dataclass(value, key):
             if not isinstance(value, dict):
-                raise error(f"{key or hint.__name__} must be a mapping, got {type(value).__name__}")
-            if key and error is ConfigError:  # a config section keeps the config's wording
-                try:
-                    return convert_dataclass(value, "")
-                except ConfigError as exc:
-                    raise ConfigError(f"invalid {key} settings: {exc}") from None
+                got = type(value).__name__
+                raise TypeError(f"{key or hint.__name__} must be a mapping, got {got}")
             prefix = f"{key}." if key else ""
             if not required <= value.keys() <= converters.keys():
                 missing, unknown = required - value.keys(), value.keys() - converters.keys()
                 named = ", ".join(sorted(prefix + str(name) for name in missing or unknown))
-                raise error(f"{'missing' if missing else 'unknown'} key(s): {named}")
+                raise TypeError(f"{'missing' if missing else 'unknown'} key(s): {named}")
             values = {name: converters[name](v, prefix + name) for name, v in value.items()}
             try:
                 return hint(**values)
@@ -198,7 +196,7 @@ def _converter(hint, error):
             try:
                 return members[value]
             except (KeyError, TypeError):  # TypeError: an unhashable value
-                raise error(f"unknown {noun} {value!r} in {key}") from None
+                raise TypeError(f"unknown {noun} {value!r} in {key}") from None
 
         return convert_enum
 
@@ -207,9 +205,15 @@ def _converter(hint, error):
             type(value) is not bool and isinstance(value, hint)
         ):
             return value
-        raise error(f"{key} must be {hint.__name__}, got {type(value).__name__}")
+        raise TypeError(f"{key} must be {hint.__name__}, got {type(value).__name__}")
 
     return convert_leaf
+
+
+@functools.cache
+def _hints(cls):
+    """The annotations of dataclass `cls`, resolved once."""
+    return get_type_hints(cls)
 
 
 def to_plain(value):
@@ -217,34 +221,20 @@ def to_plain(value):
     following its annotations. A dataclass becomes a mapping of its fields, an
     enum its value, a tuple a list, and a frozenset of enum members a list in
     the enum's declaration order; any other value passes through unchanged."""
-    return _writer(type(value))(value)
+    return _plain(value, type(value))
 
 
-def _same(value):
-    return value
-
-
-@functools.cache
-def _writer(hint):
-    """The function value -> plain data for values annotated `hint`, built once
-    per hint. A tuple or optional of values written by _same skips it."""
+def _plain(value, hint):
     origin = get_origin(hint)
     if origin is UnionType:  # `X | None`
-        inner = _writer(get_args(hint)[0])
-        return _same if inner is _same else lambda value: None if value is None else inner(value)
+        return None if value is None else _plain(value, get_args(hint)[0])
     if origin is frozenset:  # of enum members
-        members = tuple(get_args(hint)[0])
-        values = functools.cache(lambda subset: tuple(m.value for m in members if m in subset))
-        return lambda value: list(values(value))
+        return [m.value for m in get_args(hint)[0] if m in value]
     if origin is tuple:
-        item = _writer(get_args(hint)[0])
-        return list if item is _same else lambda value: [item(v) for v in value]
+        return [_plain(v, get_args(hint)[0]) for v in value]
     if is_dataclass(hint):
-        writers = tuple((name, _writer(h)) for name, h in get_type_hints(hint).items())
-        return lambda value: {name: write(getattr(value, name)) for name, write in writers}
-    if issubclass(hint, Enum):
-        return operator.attrgetter("value")
-    return _same
+        return {name: _plain(getattr(value, name), h) for name, h in _hints(hint).items()}
+    return value.value if isinstance(value, Enum) else value
 
 
 @functools.cache
@@ -260,8 +250,10 @@ def json_writer(hint):
         inner = json_writer(get_args(hint)[0])
         return lambda value: "null" if value is None else inner(value)
     if origin is frozenset:  # of enum members
-        plain = _writer(hint)
-        return functools.cache(lambda subset: json.dumps(plain(subset)))
+        members = tuple(get_args(hint)[0])
+        return functools.cache(
+            lambda subset: json.dumps([m.value for m in members if m in subset])
+        )
     if origin is tuple:
         if get_args(hint)[0] is float:
             return _float_list_text
@@ -305,4 +297,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"malformed YAML in {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    return from_plain(ExperimentConfig, raw, ConfigError)
+    try:
+        return from_plain(ExperimentConfig, raw)
+    except TypeError as exc:
+        raise ConfigError(str(exc)) from None

@@ -54,10 +54,6 @@ class IngestStats:
     dropped_out_of_scope_only: int
     out_of_scope_counts: dict = field(default_factory=dict)
 
-    @property
-    def dropped(self) -> int:
-        return self.dropped_non_vulnerable + self.dropped_out_of_scope_only
-
 
 @dataclass(frozen=True)
 class Corpus:

@@ -25,9 +25,6 @@ class CweLabel(enum.Enum):
     def number(self) -> int:
         return int(self.value.split("-", 1)[1])
 
-    def __str__(self) -> str:
-        return self.value
-
 
 ALL_LABELS: tuple[CweLabel, ...] = tuple(sorted(CweLabel, key=lambda label: label.number))
 

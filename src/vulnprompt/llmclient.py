@@ -21,7 +21,6 @@ from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Protocol
 
 from ._http import JsonPostClient
 from .fileio import is_utf8_text
@@ -128,14 +127,6 @@ class CompletionResult:
     cached: bool
 
 
-class Provider(Protocol):
-    call_count: int
-    max_in_flight: int
-    """How many generate calls the provider may have outstanding at once."""
-
-    def generate(self, request: CompletionRequest) -> str: ...
-
-
 CACHE_FILENAME = "responses.sqlite3"
 # PRAGMA user_version of a cache file whose rows are keyed by
 # CompletionRequest.cache_key as it is now. A file holding rows under an
@@ -170,7 +161,10 @@ class ResponseCache:
             self.root.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise CacheError(f"cache root {self.root} is not a directory: {exc}") from None
-        if next(self.root.glob("*.json"), None) is not None:
+        # The old layout named each entry by its 64-hex-digit key; another
+        # *.json file, such as the report of a run whose output_dir this is,
+        # is not an entry.
+        if next(self.root.glob("[0-9a-f]" * 64 + ".json"), None) is not None:
             raise CacheError(
                 f"cache root {self.root} holds *.json entries of the old "
                 "one-file-per-key layout, which is no longer read; use a new "
@@ -259,7 +253,7 @@ class ResponseCache:
 
 def complete(
     requests: Sequence[CompletionRequest],
-    provider: Provider,
+    provider,
     cache: ResponseCache | None = None,
 ) -> list:
     """Resolve a batch of requests; results come back in input order.
@@ -319,6 +313,7 @@ class _CountingProvider:
     """Thread-safe call counter shared by all providers; mocks resolve inline."""
 
     max_in_flight = 1
+    """How many generate calls the provider may have outstanding at once."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()

@@ -187,7 +187,7 @@ class RunReport:
     def from_json(cls, text: str) -> "RunReport":
         """Read a report back, checking each cell's rates against its counts."""
         try:
-            report = from_plain(cls, json.loads(text), TypeError)
+            report = from_plain(cls, json.loads(text))
             for i, cell in enumerate(report.cells):
                 m = cell.metrics
                 for name, value in rates_from_counts(m.tp, m.fp, m.fn, m.tn).items():
@@ -286,7 +286,7 @@ def _load_checked_index(path, corpus: Corpus, backend, include_labels: bool) -> 
     train = corpus.train
     expected = {**index_stamp(corpus, backend, include_labels),
                 "ids": [s.id for s in train], "labels": [s.truth for s in train]}
-    found = {**index.built_from, "ids": index.id_list, "labels": list(index.truths)}
+    found = {**index.built_from, "ids": list(index.ids), "labels": list(index.truths)}
     differing = sorted(k for k in expected.keys() | found.keys() if expected.get(k) != found.get(k))
     if differing:
         raise RunnerError(
@@ -487,7 +487,7 @@ def load_records(path: str | Path) -> list:
             for number, line in enumerate(handle, 1):
                 if line.strip():
                     data = json.loads(line.decode())
-                    records.append(from_plain(PredictionRecord, data, TypeError))
+                    records.append(from_plain(PredictionRecord, data))
         except (TypeError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
             raise RunnerError(
                 f"{path}: line {number}: not a prediction record: {type(exc).__name__}: {exc}"

@@ -41,7 +41,6 @@ load bit for bit as they were held, and nothing in the file is unpickled.
 
 from __future__ import annotations
 
-import functools
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -96,15 +95,10 @@ class VectorIndex:
     corpus (see `runner.index_stamp`), and None for one built from bare entries.
     """
 
-    ids: np.ndarray
+    ids: tuple[str, ...]
     matrix: np.ndarray
     truths: tuple
     built_from: dict | None = None
-
-    @functools.cached_property
-    def id_list(self) -> list:
-        """`ids` as one list of str, built once, which every Neighbor shares."""
-        return self.ids.tolist()
 
     @property
     def dimension(self) -> int:
@@ -152,7 +146,7 @@ def build(entries, count: int | None = None, built_from: dict | None = None) -> 
     if len(ids) != count:
         raise VecIndexError(f"got {len(ids)} entries, {count} announced")
     matrix.flags.writeable = False
-    return VectorIndex(np.array(ids), matrix, tuple(truths), built_from)
+    return VectorIndex(tuple(ids), matrix, tuple(truths), built_from)
 
 
 def top_k(index: VectorIndex, query: EmbeddingVector | Sequence[EmbeddingVector], k: int) -> list:
@@ -190,14 +184,14 @@ def top_k(index: VectorIndex, query: EmbeddingVector | Sequence[EmbeddingVector]
     floor = np.partition(approx, cut, axis=1)[:, cut] - 2 * _rounding_bound(index.dimension)
     candidates = ~(approx < floor[:, None])
     del approx
-    ids = index.id_list
+    ids = index.ids
     rankings = []
     for vector, keep in zip(queries, candidates):
-        rows = np.flatnonzero(keep)
-        sims = _exact_similarities(matrix, vector.values, rows.tolist())
-        order = np.lexsort((index.ids[rows], -sims))[:take]
-        hits = zip(rows[order].tolist(), sims[order].tolist())
-        rankings.append([Neighbor(ids[row], sim) for row, sim in hits])
+        rows = np.flatnonzero(keep).tolist()
+        sims = _exact_similarities(matrix, vector.values, rows)
+        order = np.lexsort((np.array([ids[row] for row in rows]), -sims))[:take]
+        hits = zip(order.tolist(), sims[order].tolist())
+        rankings.append([Neighbor(ids[rows[j]], sim) for j, sim in hits])
     return rankings[0] if single else rankings
 
 
@@ -228,7 +222,7 @@ def _exact_similarities(matrix: np.ndarray, query: np.ndarray, rows: list) -> np
 def save_index(index: VectorIndex, path: str | Path) -> None:
     """Write one JSON header line, then the matrix as one .npy payload."""
     labels = [label_codes(truth) for truth in index.truths]
-    header = {"format": INDEX_FORMAT, "ids": index.id_list, "labels": labels,
+    header = {"format": INDEX_FORMAT, "ids": index.ids, "labels": labels,
               "built_from": index.built_from}
     with atomic_open(path) as handle:
         handle.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
@@ -275,4 +269,4 @@ def load_index(path: str | Path) -> VectorIndex:
         row = bad[0]
         raise VecIndexError(f"{path}: row {ids[row]!r} has norm {float(norms[row])!r}, not 1.0")
     matrix.flags.writeable = False
-    return VectorIndex(np.array(ids), matrix, truths, built_from)
+    return VectorIndex(tuple(ids), matrix, truths, built_from)

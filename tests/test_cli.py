@@ -262,7 +262,7 @@ def old_jsonl_index(workdir, index_path):
     index = build_index_from_corpus(corpus, HashedBagOfTokensBackend(256))
     lines = [
         json.dumps({"id": i, "vector": row, "labels": ["CWE-119"]}, sort_keys=True)
-        for i, row in zip(index.ids.tolist(), index.matrix.tolist())
+        for i, row in zip(index.ids, index.matrix.tolist())
     ]
     index_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -272,7 +272,7 @@ def unstamped_index(workdir, index_path):
     index = build_index_from_corpus(corpus, HashedBagOfTokensBackend(256))
     entries = [
         IndexEntry(sample_id=i, vector=EmbeddingVector(values=row), truth=truth)
-        for i, row, truth in zip(index.ids.tolist(), index.matrix, index.truths)
+        for i, row, truth in zip(index.ids, index.matrix, index.truths)
     ]
     save_index(build(entries), index_path)
 
@@ -419,6 +419,37 @@ def test_run_with_old_layout_cache_dir_exits_3(workdir, capsys):
     assert f"cache root {cache_dir} holds *.json entries" in err
     assert "use a new cache_dir or delete those files" in err
     assert not (cache_dir / CACHE_FILENAME).exists()
+
+
+def test_run_with_a_directory_as_cache_database_exits_3(workdir, capsys):
+    database = workdir / "cache" / CACHE_FILENAME
+    database.mkdir(parents=True)
+    config_path = write_config(workdir, cache_dir=str(database.parent))
+    assert main(["run", "--config", str(config_path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"unusable cache database {database}: unable to open database file" in err
+
+
+def test_run_with_an_index_without_a_built_from_stamp_exits_3(workdir, capsys):
+    index_path = workdir / "index.bin"
+    unstamped_index(workdir, index_path)
+    config_path = write_config(
+        workdir, index_path=str(index_path), strategies=["retrieval_labeling"]
+    )
+    assert main(["run", "--config", str(config_path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"index {index_path} has no built_from stamp; rebuild it with" in err
+
+
+def test_rerun_with_cache_dir_equal_to_output_dir_replays_from_the_cache(workdir, capsys):
+    # The first run leaves report.json in the cache root: a *.json file that is
+    # not an entry of the old one-file-per-key layout.
+    out = workdir / "out"
+    config_path = write_config(workdir, cache_dir=str(out))
+    assert main(["run", "--config", str(config_path)]) == EXIT_OK
+    assert "provider calls: 0" not in capsys.readouterr().out
+    assert main(["run", "--config", str(config_path)]) == EXIT_OK
+    assert "provider calls: 0" in capsys.readouterr().out.splitlines()
 
 
 def test_cache_keyed_by_an_earlier_format_exits_3(workdir):

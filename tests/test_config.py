@@ -136,8 +136,11 @@ def test_template_id_other_than_the_rendered_one_rejected(tmp_path):
         ({"provider": ["type"]}, "provider must be a mapping, got list"),
         ({"shot_counts": 5}, "shot_counts must be a list, got int"),
         ({"strategies": "zero_shot"}, "strategies must be a list, got str"),
-        ({"embedding": {"dimension": "wide"}}, "invalid embedding settings"),
-        ({"provider": {"max_in_flight": None}}, "invalid provider settings"),
+        ({"embedding": {"dimension": "wide"}}, "embedding.dimension must be int, got str"),
+        (
+            {"provider": {"max_in_flight": None}},
+            "provider.max_in_flight must be int, got NoneType",
+        ),
     ],
     ids=[
         "null-embedding",
@@ -164,18 +167,9 @@ def test_malformed_section_names_its_key(tmp_path, extra, message):
         ({"corpus_path": 5}, "corpus_path must be str, got int"),
         ({"output_dir": 7}, "output_dir must be str, got int"),
         ({"index_path": 3}, "index_path must be str, got int"),
-        (
-            {"provider": {"max_in_flight": 2.5}},
-            "invalid provider settings: max_in_flight must be int, got float",
-        ),
-        (
-            {"provider": {"temperature": "0"}},
-            "invalid provider settings: temperature must be float, got str",
-        ),
-        (
-            {"embedding": {"dimension": True}},
-            "invalid embedding settings: dimension must be int, got bool",
-        ),
+        ({"provider": {"max_in_flight": 2.5}}, "provider.max_in_flight must be int, got float"),
+        ({"provider": {"temperature": "0"}}, "provider.temperature must be float, got str"),
+        ({"embedding": {"dimension": True}}, "embedding.dimension must be int, got bool"),
     ],
     ids=[
         "str-include-labels",
@@ -233,7 +227,7 @@ def test_int_for_a_float_is_kept_as_written(tmp_path):
     ],
 )
 def test_provider_request_fields_checked_at_load(tmp_path, provider, message):
-    with pytest.raises(ConfigError, match=f"invalid provider settings: {message}"):
+    with pytest.raises(ConfigError, match=f"provider: {message}"):
         load_config(minimal_yaml(tmp_path, {"provider": provider}))
     with pytest.raises(ConfigError, match=message):
         ProviderSettings(**provider)
@@ -258,6 +252,20 @@ def test_strategies_must_be_unique():
             output_dir="o",
             strategies=(Strategy.RETRIEVAL_LABELING, Strategy.RETRIEVAL_LABELING),
         )
+
+
+@pytest.mark.parametrize(
+    "empty, message",
+    [
+        ({"corpus_path": ""}, "corpus_path must be non-empty"),
+        ({"output_dir": ""}, "output_dir must be non-empty"),
+        ({"strategies": ()}, "at least one strategy is required"),
+    ],
+    ids=["corpus-path", "output-dir", "strategies"],
+)
+def test_empty_required_values_rejected(empty, message):
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(**{"corpus_path": "c", "output_dir": "o", **empty})
 
 
 def test_embedding_settings_validation():
@@ -316,4 +324,4 @@ def test_to_plain_serializes_enums():
     assert data["shot_order"] == "similar_first"
     assert data["shot_counts"] == list(DEFAULT_SHOT_COUNTS)
     assert data["embedding"]["backend"] == "hashed"
-    assert from_plain(ExperimentConfig, data, ConfigError) == config
+    assert from_plain(ExperimentConfig, data) == config

@@ -93,7 +93,8 @@ def test_ingest_retained_plus_dropped_equals_total(tmp_path):
     corpus = ingest(path)
     stats = corpus.stats
     assert stats.total_records == 4
-    assert stats.retained + stats.dropped == stats.total_records
+    assert stats.retained == 2
+    assert stats.dropped_non_vulnerable == stats.dropped_out_of_scope_only == 1
 
 
 def test_ingest_skips_blank_lines(tmp_path):

@@ -409,7 +409,7 @@ def test_memo_never_leaks_across_dimensions():
 def test_index_rows_match_unmemoised_embedding_bit_for_bit(synthetic_corpus):
     backend = HashedBagOfTokensBackend(dimension=256)
     index = build_index_from_corpus(synthetic_corpus, backend, include_labels=True)
-    assert index.ids.tolist() == [sample.id for sample in synthetic_corpus.train]
+    assert list(index.ids) == [sample.id for sample in synthetic_corpus.train]
     for row, sample in zip(index.matrix, synthetic_corpus.train):
         item = EmbeddingInput(code=sample.code, labels=sample.truth)
         assert row.tolist() == unmemoised_embedding(item.rendered_text(), 256)

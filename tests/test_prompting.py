@@ -72,6 +72,11 @@ def test_select_random_rejects_oversized_k():
         select_random(pool, (1, 4), seed=0, test_id="q")
 
 
+def test_select_random_rejects_k_zero():
+    with pytest.raises(PromptError, match="k must be >= 1, got 0"):
+        select_random(make_pool(3), (0, 1), seed=0, test_id="q")
+
+
 def test_select_random_seed_sensitivity():
     pool = make_pool(30)
     differs = any(
@@ -205,6 +210,11 @@ def test_extract_test_code_round_trip():
 def test_extract_test_code_rejects_foreign_text():
     with pytest.raises(PromptError):
         extract_test_code("no stub here")
+
+
+def test_extract_test_code_rejects_a_prompt_without_a_code_block():
+    with pytest.raises(PromptError, match="prompt has no code block"):
+        extract_test_code("Answer with CWE identifiers.\nVulnerabilities:")
 
 
 def test_prompt_hash_is_stable_hex():

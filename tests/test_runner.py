@@ -458,7 +458,7 @@ def test_artifacts_written_and_recomputable(small_corpus_path, tmp_path):
 
     reloaded = RunReport.from_json((out / "report.json").read_text(encoding="utf-8"))
     assert reloaded.payload_dict() == report.payload_dict()
-    assert from_plain(ExperimentConfig, reloaded.config, ConfigError) == config
+    assert from_plain(ExperimentConfig, reloaded.config) == config
     assert (out / "report.csv").read_text(encoding="utf-8") == emit_table(report)
 
     corpus = ingest(small_corpus_path)
@@ -858,7 +858,7 @@ def test_prediction_record_json_round_trip():
 def read_back(record):
     """What load_records makes of the line that run() writes for `record`."""
     line = json_writer(PredictionRecord)(record)
-    return from_plain(PredictionRecord, json.loads(line), TypeError)
+    return from_plain(PredictionRecord, json.loads(line))
 
 
 def optional(values):

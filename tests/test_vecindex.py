@@ -49,7 +49,7 @@ def test_build_counts_and_order():
     entries = [entry("a", (1, 0)), entry("b", (0, 1)), entry("c", (1, 1))]
     index = build(entries)
     assert len(index) == 3
-    assert index.ids.tolist() == ["a", "b", "c"]
+    assert list(index.ids) == ["a", "b", "c"]
     assert index.dimension == 2
     assert index.built_from is None
 
@@ -111,7 +111,7 @@ def test_corpus_index_build_holds_one_copy_of_the_vectors():
         ]
     )
     assert index.matrix.tobytes() == expected.tobytes()
-    assert index.ids.tolist() == [s.id for s in corpus.train]
+    assert list(index.ids) == [s.id for s in corpus.train]
     assert index.truths == tuple(s.truth for s in corpus.train)
 
 
@@ -203,10 +203,9 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "index.bin"
     save_index(index, path)
     loaded = load_index(path)
-    assert loaded.ids.tolist() == ["a", "b"]
+    assert list(loaded.ids) == ["a", "b"]
     assert loaded.truths == index.truths
     assert loaded.built_from == STAMP
-    assert loaded.ids.dtype == index.ids.dtype
     assert loaded.matrix.tobytes() == index.matrix.tobytes()  # bit-identical rows
 
 
@@ -237,6 +236,13 @@ def test_load_rejects_malformed(tmp_path):
         load_index(path)
 
 
+def test_load_rejects_a_file_whose_first_line_is_not_json(tmp_path):
+    path = tmp_path / "index.zip"
+    path.write_bytes(b"PK\x03\x04\x14\x00\x00\x00\x08\x00\xff\xfe\n\x00")
+    with pytest.raises(VecIndexError, match=f"is not a {INDEX_FORMAT} file"):
+        load_index(path)
+
+
 def write_index_file(path, header, matrix, allow_pickle=False):
     """Write an index file by hand: a header line, then a .npy payload."""
     with open(path, "wb") as handle:
@@ -261,7 +267,7 @@ GOOD_MATRIX = np.array([[1.0, 0.0], [0.0, 1.0]])
 def test_a_hand_written_index_file_loads(tmp_path):
     write_index_file(tmp_path / "index.bin", good_header(), GOOD_MATRIX)
     index = load_index(tmp_path / "index.bin")
-    assert index.ids.tolist() == ["a", "b"] and index.built_from == STAMP
+    assert list(index.ids) == ["a", "b"] and index.built_from == STAMP
 
 
 @pytest.mark.parametrize(
