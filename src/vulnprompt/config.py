@@ -287,10 +287,30 @@ def _float_list_text(value) -> str:
     return json.dumps(list(value)) if "n" in text else text
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """The loader of yaml.safe_load, except that a mapping that holds one key
+    twice is an error rather than a mapping that keeps the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        # A merge key (<<) is left to the base class, which lets the mapping's
+        # own keys override the keys it merges.
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found duplicate key {key!r}", key_node.start_mark
+                    )
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Load an ExperimentConfig from a YAML file, checking each key against its annotation."""
+    """Load an ExperimentConfig from a YAML file, checking each key against its
+    annotation; a key given twice in one mapping is rejected."""
     try:
-        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        raw = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_UniqueKeyLoader)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except yaml.YAMLError as exc:

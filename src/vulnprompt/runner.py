@@ -86,13 +86,6 @@ from .vecindex import REBUILD_HINT, IndexEntry, VectorIndex, build, load_index, 
 
 RETRIEVAL_STRATEGIES = frozenset({Strategy.RETRIEVAL_FEW_SHOT, Strategy.RETRIEVAL_LABELING})
 
-# Test queries embedded and ranked per top_k call: one matrix product over a
-# block reads the index once for all of its queries. The product's result and
-# OpenBLAS's packing buffer grow with the block: on the retrieval_scale
-# benchmark, peak RSS read 0.2 MB above one product per query at 32 queries,
-# and 0.3 MB below it at 24.
-QUERY_BLOCK = 24
-
 # (CSV column, MetricsReport field) in the standard comparison order; the
 # first six are the metrics that emit_curves plots.
 METRIC_COLUMNS = (
@@ -354,10 +347,9 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
     cells: list[CellReport] = []
     failure = None
     with closing(cache) if cache is not None else nullcontext():
-        # Each test query is ranked once, at the largest shot count, in blocks
-        # of QUERY_BLOCK queries per top_k call; every retrieval cell takes a
-        # prefix of that ranking, which top_k guarantees equals a direct
-        # top_k call on the query alone at the smaller k.
+        # One top_k call embeds each test query as it reads it and ranks it once,
+        # at the largest shot count; every retrieval cell takes a prefix of that
+        # ranking, which top_k guarantees equals a direct call at the smaller k.
         rankings: dict = {}
         if not RETRIEVAL_STRATEGIES.isdisjoint(config.strategies):
             if config.index_path:
@@ -366,11 +358,8 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
                 )
             else:
                 index = build_index_from_corpus(corpus, backend, config.include_labels_in_index)
-            for start in range(0, len(corpus.test), QUERY_BLOCK):
-                block = corpus.test[start:start + QUERY_BLOCK]
-                queries = [backend.embed(EmbeddingInput(code=sample.code)) for sample in block]
-                for sample, ranking in zip(block, top_k(index, queries, max_k)):
-                    rankings[sample.id] = ranking
+            queries = (backend.embed(EmbeddingInput(code=sample.code)) for sample in corpus.test)
+            rankings = dict(zip([s.id for s in corpus.test], top_k(index, queries, max_k)))
 
         # Each test sample's random shots for every shot count come from at most
         # two draws (see select_random), made once rather than once per cell.

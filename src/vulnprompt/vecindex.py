@@ -5,23 +5,25 @@ so brute-force search over a dense matrix is both the simplest and the
 fastest correct choice. A row's similarity to a query is the float64 value
 that one single-threaded matrix-vector product `matrix @ query` gives it.
 Rows rank by that similarity, and only bitwise-equal similarities tie; those
-break by ascending sample id, which makes rankings reproducible and
-prefix-consistent across different k. Two cosines that are equal in exact
-arithmetic can still round one ULP apart, and then rounding, not the id,
-picks their order (ROADMAP, "Exact retrieval for hashed vectors").
+break by ascending sample id, compared by code point as `sorted` compares
+strings, which makes rankings reproducible and prefix-consistent across
+different k. Two cosines that are equal in exact arithmetic can still round
+one ULP apart, and then rounding, not the id, picks their order (ROADMAP,
+"Exact retrieval for hashed vectors").
 
-`top_k` ranks a block of queries with one matrix product, which rounds
-differently from the matrix-vector product, and then recomputes the
-similarity of the few rows that can still rank. That selection loses no row.
-Rows and queries are unit vectors, so a dot product of dimension m rounded in
-any order is within gamma_m = m*u / (1 - m*u) of its exact value (u = 2**-53;
-Higham 2002, section 3.1), and two roundings of one similarity are within
-2 * gamma_m of each other. `_rounding_bound` is that bound times a safety
-factor of 4, about 2.3e-13 at dimension 256. Since k rows have an
-approximate similarity of at least the k-th best approximate one, the k-th
-best similarity is at least that value minus the bound. So a row in the top
-k, or tied at its boundary, has an approximate similarity of at least the
-k-th best approximate one minus twice the bound, and every such row is kept.
+`top_k` reads its queries QUERY_BLOCK at a time and ranks each block with one
+matrix product, which rounds differently from the matrix-vector product, and
+then recomputes the similarity of the few rows that can still rank. That
+selection loses no row. Rows and queries are unit vectors, so a dot product
+of dimension m rounded in any order is within gamma_m = m*u / (1 - m*u) of
+its exact value (u = 2**-53; Higham 2002, section 3.1), and two roundings of
+one similarity are within 2 * gamma_m of each other. `_rounding_bound` is
+that bound times a safety factor of 4, about 2.3e-13 at dimension 256. Since
+k rows have an approximate similarity of at least the k-th best approximate
+one, the k-th best similarity is at least that value minus the bound. So a
+row in the top k, or tied at its boundary, has an approximate similarity of
+at least the k-th best approximate one minus twice the bound, and every such
+row is kept.
 
 The recomputation rests on how OpenBLAS's dgemv rounds a row: by the group
 of rows it computes it with, at the row's own address. Over a whole matrix
@@ -42,8 +44,9 @@ load bit for bit as they were held, and nothing in the file is unpickled.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +58,12 @@ from .labels import UnknownLabelError, label_codes, label_set
 # The header's "format" value; a file whose first line lacks it is rejected.
 INDEX_FORMAT = "vulnprompt-index/1"
 REBUILD_HINT = "rebuild it with `vulnprompt index build`"
+
+# Queries that top_k ranks with one matrix product: the product reads the
+# index once for all of them. Its result and OpenBLAS's packing buffer grow
+# with the block: on the retrieval_scale benchmark, peak RSS read 0.2 MB above
+# one product per query at 32 queries, and 0.3 MB below it at 24.
+QUERY_BLOCK = 24
 
 
 class VecIndexError(ValueError):
@@ -149,50 +158,50 @@ def build(entries, count: int | None = None, built_from: dict | None = None) -> 
     return VectorIndex(tuple(ids), matrix, tuple(truths), built_from)
 
 
-def top_k(index: VectorIndex, query: EmbeddingVector | Sequence[EmbeddingVector], k: int) -> list:
-    """Exact top-k by float64 cosine similarity, for one query or a block.
+def top_k(index: VectorIndex, query: EmbeddingVector | Iterable[EmbeddingVector], k: int) -> list:
+    """Exact top-k by float64 cosine similarity, for one query or a stream.
 
-    `query` is one EmbeddingVector, for which the result is its ranking, or a
-    sequence of them, for which it is one ranking per query, in order, found
-    with one matrix product for the whole sequence (see the module
-    docstring); callers bound its memory by the number of queries they pass.
-    Bitwise-equal similarities break by ascending sample id; exactly equal
-    cosines that round apart keep their rounded order. A ranking holds
-    min(k, len(index)) neighbors in rank order, and the ranking for k is
-    always a prefix of the ranking for k+1.
+    `query` is one EmbeddingVector, whose ranking is returned, or an iterable
+    of them, read QUERY_BLOCK at a time, for which one ranking per query is
+    returned in order. Equal similarities break by ascending sample id, as
+    `sorted` orders strings; exactly equal cosines that round apart keep their
+    rounded order. A ranking holds min(k, len(index)) neighbors in rank
+    order, and the ranking for k is always a prefix of the ranking for k+1.
     """
-    single = isinstance(query, EmbeddingVector)
-    queries = (query,) if single else tuple(query)
     if k < 1:
         raise VecIndexError(f"k must be >= 1, got {k}")
+    if isinstance(query, EmbeddingVector):
+        return _rank_block(index, [query], k)[0]
+    queries, rankings = iter(query), []
+    while block := list(islice(queries, QUERY_BLOCK)):
+        rankings.extend(_rank_block(index, block, k))
+    return rankings
+
+
+def _rank_block(index: VectorIndex, queries: list, k: int) -> list:
+    """One ranking per query of a non-empty block, from one matrix product."""
     for vector in queries:
         if vector.dim != index.dimension:
             raise VecIndexError(
                 f"query dim {vector.dim} does not match index dim {index.dimension}"
             )
-    if not queries:
-        return []
     matrix = index.matrix
     take = min(k, len(index))
-    block = np.stack([vector.values for vector in queries])
-    approx = block @ matrix.T
+    approx = np.stack([vector.values for vector in queries]) @ matrix.T
     # Each query's take-th best approximate similarity, less twice the
-    # rounding bound, is the floor for its candidates. `~(approx < floor)`
-    # rather than `approx >= floor` keeps NaN rows, which a full sort places
-    # last, as candidates.
+    # rounding bound, is the floor for its candidates.
     cut = len(index) - take
     floor = np.partition(approx, cut, axis=1)[:, cut] - 2 * _rounding_bound(index.dimension)
-    candidates = ~(approx < floor[:, None])
+    candidates = approx >= floor[:, None]
     del approx
     ids = index.ids
     rankings = []
     for vector, keep in zip(queries, candidates):
         rows = np.flatnonzero(keep).tolist()
-        sims = _exact_similarities(matrix, vector.values, rows)
-        order = np.lexsort((np.array([ids[row] for row in rows]), -sims))[:take]
-        hits = zip(order.tolist(), sims[order].tolist())
-        rankings.append([Neighbor(ids[rows[j]], sim) for j, sim in hits])
-    return rankings[0] if single else rankings
+        sims = _exact_similarities(matrix, vector.values, rows).tolist()
+        hits = sorted(zip(sims, [ids[row] for row in rows]), key=lambda hit: (-hit[0], hit[1]))
+        rankings.append([Neighbor(sample_id, sim) for sim, sample_id in hits[:take]])
+    return rankings
 
 
 def _rounding_bound(dimension: int) -> float:

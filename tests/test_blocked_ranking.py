@@ -1,6 +1,6 @@
-"""Blocked top_k: every ranking equals a full lexsort over the similarities a
-single-threaded `matrix @ query` gives, bit for bit, whatever the block size
-and the BLAS thread count."""
+"""Blocked top_k: every ranking equals a full sort, by (-similarity, id), of
+the similarities a single-threaded `matrix @ query` gives, bit for bit,
+whatever the number of queries and the BLAS thread count."""
 
 from __future__ import annotations
 
@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 import vulnprompt
 from vulnprompt.embedding import EmbeddingVector
 from vulnprompt.labels import label_set
-from vulnprompt.runner import QUERY_BLOCK
-from vulnprompt.vecindex import IndexEntry, build, top_k
+from vulnprompt.vecindex import QUERY_BLOCK, IndexEntry, build, top_k
 
 TRUTH = label_set(["CWE-119"])
 
@@ -48,7 +47,9 @@ def blocked_case(draw):
     for _ in range(draw(st.integers(min_value=0, max_value=n // 2))):
         row, col = rng.integers(n), rng.integers(dim)
         rows[row, col] = np.nextafter(rows[row, col], rng.choice((-np.inf, np.inf)))
-    ids = [f"s{i:03d}" for i in rng.permutation(n)]
+    # Pairs of ids that differ only by a trailing NUL, and ids that are
+    # prefixes of one another ("s1", "s10").
+    ids = [f"s{i // 2}" + "\x00" * (i % 2) for i in rng.permutation(n)]
     index = build(
         IndexEntry(sample_id=i, vector=EmbeddingVector(values=r), truth=TRUTH)
         for i, r in zip(ids, rows)
@@ -63,14 +64,14 @@ def blocked_case(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(blocked_case())
-def test_blocked_top_k_equals_a_full_lexsort_of_the_matrix_vector_product(case):
+def test_blocked_top_k_equals_a_full_sort_of_the_matrix_vector_product(case):
     index, queries, k = case
     rankings = top_k(index, queries, k)
     assert len(rankings) == len(queries)
     for query, ranking in zip(queries, rankings):
-        sims = index.matrix @ query.values
-        full = np.lexsort((index.ids, -sims))[: min(k, len(index))]
-        assert as_pairs(ranking) == [(str(index.ids[i]), float(sims[i]).hex()) for i in full]
+        sims = (index.matrix @ query.values).tolist()
+        full = sorted(zip(sims, index.ids), key=lambda hit: (-hit[0], hit[1]))
+        assert as_pairs(ranking) == [(i, sim.hex()) for sim, i in full[: min(k, len(index))]]
         assert as_pairs(top_k(index, query, k)) == as_pairs(ranking)
 
 
@@ -79,14 +80,15 @@ def test_an_empty_block_has_no_rankings():
     assert top_k(index, [], 3) == []
 
 
-# Ranks 20 queries against a seeded 2,001 x 256 index, in one block and one
-# query at a time, at k = every row, and prints each hit's id and similarity bits.
+# Ranks QUERY_BLOCK + 6 queries against a seeded 2,001 x 256 index at k = every
+# row, in one top_k call, which crosses a block boundary, and one query at a
+# time, and prints each hit's id and similarity bits.
 RANK_SCRIPT = """
 import json
 import numpy as np
 from vulnprompt.embedding import EmbeddingVector
 from vulnprompt.labels import label_set
-from vulnprompt.vecindex import IndexEntry, build, top_k
+from vulnprompt.vecindex import QUERY_BLOCK, IndexEntry, build, top_k
 
 rng = np.random.default_rng(2001)
 def unit_rows(count):
@@ -96,7 +98,7 @@ index = build(
     IndexEntry(f"s{i:04d}", EmbeddingVector(values=row), label_set(["CWE-119"]))
     for i, row in enumerate(unit_rows(2001))
 )
-queries = [EmbeddingVector(values=q) for q in unit_rows(20)]
+queries = [EmbeddingVector(values=q) for q in unit_rows(QUERY_BLOCK + 6)]
 pairs = lambda hits: [(h.sample_id, h.similarity.hex()) for h in hits]
 print(json.dumps({
     "single": [pairs(top_k(index, q, len(index))) for q in queries],

@@ -488,6 +488,14 @@ def test_malformed_config_section_exits_1_without_traceback(workdir):
     assert "Traceback" not in proc.stderr
 
 
+def test_a_config_key_given_twice_exits_1(workdir, capsys):
+    config_path = write_config(workdir)
+    config_path.write_text(config_path.read_text(encoding="utf-8") + "seed: 2\n", encoding="utf-8")
+    assert main(["run", "--config", str(config_path)]) == EXIT_USAGE
+    assert "found duplicate key 'seed'" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
 @pytest.mark.parametrize(
     "overrides, message",
     [

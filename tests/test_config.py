@@ -117,6 +117,22 @@ def test_malformed_yaml_rejected(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "text, key, line",
+    [
+        ("corpus_path: c.jsonl\noutput_dir: out\nseed: 1\nseed: 2\n", "seed", 4),
+        ("corpus_path: c.jsonl\noutput_dir: out\nprovider:\n  retries: 2\n  retries: 3\n",
+         "retries", 5),
+    ],
+    ids=["top-level", "nested"],
+)
+def test_a_key_given_twice_is_rejected_naming_it_and_its_line(tmp_path, text, key, line):
+    path = tmp_path / "config.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"duplicate key '{key}'\s+in .*, line {line},"):
+        load_config(path)
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "absent.yaml")

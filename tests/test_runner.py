@@ -486,15 +486,14 @@ def test_retrieval_records_carry_k_neighbors(small_corpus_path, small_corpus, tm
 def test_each_query_is_ranked_once_at_the_largest_k(
     small_corpus_path, small_corpus, tmp_path, hashed_backend, monkeypatch
 ):
-    ranked, blocks = [], []
+    calls = []
 
     def recording_top_k(index, queries, k):
-        blocks.append(len(queries))
-        ranked.extend((query, k) for query in queries)
+        assert iter(queries) is queries  # a stream, not a list the runner built
+        queries = list(queries)
+        calls.append((queries, k))
         return top_k(index, queries, k)
 
-    # 4 test queries in blocks of 3: one full block and one partial block.
-    monkeypatch.setattr(runner, "QUERY_BLOCK", 3)
     monkeypatch.setattr(runner, "top_k", recording_top_k)
     shot_counts = (1, 2, 3, len(small_corpus.train) + 5)
     config = make_config(
@@ -504,11 +503,10 @@ def test_each_query_is_ranked_once_at_the_largest_k(
         shot_counts=shot_counts,
     )
     run(config, provider=ParrotProvider(), embed_backend=hashed_backend)
-    assert blocks == [3, 1]
-    assert ranked == [
-        (hashed_backend.embed(EmbeddingInput(code=sample.code)), max(shot_counts))
-        for sample in small_corpus.test
-    ]
+    assert calls == [(
+        [hashed_backend.embed(EmbeddingInput(code=sample.code)) for sample in small_corpus.test],
+        max(shot_counts),
+    )]
 
     index = build_index_from_corpus(small_corpus, hashed_backend, include_labels=True)
     samples_by_id = small_corpus.by_id()
@@ -519,6 +517,24 @@ def test_each_query_is_ranked_once_at_the_largest_k(
         direct = top_k(index, query, record.k)
         assert record.neighbor_ids == tuple(n.sample_id for n in direct)
         assert record.similarities == tuple(n.similarity for n in direct)
+
+
+def test_equal_train_samples_rank_by_id_as_sorted_orders_them(tmp_path):
+    # "x\x00" comes first in the file; sorted() puts "x" before it.
+    code = "int f(char *s) { return s[9]; }"
+    rows = [("x\x00", code, "train"), ("x", code, "train"), ("t", code.replace("9", "1"), "test")]
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text("".join(
+        json.dumps({"id": i, "code": c, "labels": ["CWE-119"], "split": split}) + "\n"
+        for i, c, split in rows
+    ), encoding="utf-8")
+    config = make_config(
+        corpus_path, tmp_path / "out", strategies=(Strategy.RETRIEVAL_LABELING,), shot_counts=(2,)
+    )
+    run(config)
+    (record,) = load_records(tmp_path / "out" / "records.jsonl")
+    assert record.neighbor_ids == ("x", "x\x00")
+    assert record.similarities[0] == record.similarities[1]
 
 
 def test_random_strategy_records_have_no_neighbors(small_corpus_path, small_corpus, tmp_path):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_top_k
+from vulnprompt import vecindex
 from vulnprompt.embedding import EmbeddingInput, EmbeddingVector, HashedBagOfTokensBackend
 from vulnprompt.labels import label_set
 from vulnprompt.runner import build_index_from_corpus
@@ -159,6 +160,35 @@ def test_top_k_ties_break_by_ascending_id():
     index = build([entry("z", same), entry("a", same), entry("m", same)])
     hits = top_k(index, unit_vector((1.0, 0.0)), 3)
     assert [h.sample_id for h in hits] == ["a", "m", "z"]
+    # Ids compare as sorted() compares them: "a" before "a\x00".
+    index = build([entry("a\x00", same), entry("a", same)])
+    hits = top_k(index, unit_vector((1.0, 0.0)), 2)
+    assert [h.sample_id for h in hits] == ["a", "a\x00"]
+
+
+def test_top_k_reads_a_query_stream_one_block_at_a_time(monkeypatch):
+    rng = random.Random(17)
+    index = build([entry(f"s{i:02d}", random_unit(rng, 6)) for i in range(30)])
+    queries = [unit_vector(random_unit(rng, 6)) for _ in range(7)]
+    singles = [top_k(index, query, 5) for query in queries]
+    read, blocks = [], []
+
+    def stream():
+        for query in queries:
+            read.append(query)
+            yield query
+
+    rank_block = vecindex._rank_block
+
+    def recording_rank_block(index, block, k):
+        blocks.append((len(block), len(read)))
+        return rank_block(index, block, k)
+
+    monkeypatch.setattr(vecindex, "QUERY_BLOCK", 3)
+    monkeypatch.setattr(vecindex, "_rank_block", recording_rank_block)
+    assert top_k(index, stream(), 5) == singles
+    # Each block is ranked as soon as it has been read, before the next is read.
+    assert blocks == [(3, 3), (3, 6), (1, 7)]
 
 
 def test_prefix_property_small():
@@ -383,7 +413,11 @@ TIE_DIRECTIONS = ((1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0), (0, 0, 1, 1))
 def tied_index_and_query(draw):
     n = draw(st.integers(min_value=1, max_value=40))
     directions = draw(st.lists(st.sampled_from(TIE_DIRECTIONS), min_size=n, max_size=n))
-    ids = draw(st.permutations([f"s{i:03d}" for i in range(n)]))
+    # Trailing NULs, non-ASCII letters, and ids that are prefixes of one another.
+    ids = draw(st.lists(
+        st.text(alphabet="a\x00\u00e9\u03a9", min_size=1, max_size=3),
+        min_size=n, max_size=n, unique=True,
+    ))
     query = draw(st.sampled_from(TIE_DIRECTIONS + ((1, 1, 1, 1),)))
     k = draw(st.integers(min_value=1, max_value=n + 2))
     return build([entry(i, d) for i, d in zip(ids, directions)]), unit_vector(query), k
@@ -391,9 +425,9 @@ def tied_index_and_query(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(tied_index_and_query())
-def test_top_k_equals_full_lexsort_with_ties_at_k(case):
+def test_top_k_equals_a_full_sort_with_ties_at_k(case):
     index, query, k = case
-    sims = index.matrix @ np.asarray(query.values, dtype=np.float64)
-    full = np.lexsort((index.ids, -sims))[: min(k, len(index))]
-    expected = [(str(index.ids[i]), float(sims[i])) for i in full]
+    sims = (index.matrix @ np.asarray(query.values, dtype=np.float64)).tolist()
+    full = sorted(zip(sims, index.ids), key=lambda hit: (-hit[0], hit[1]))
+    expected = [(sample_id, sim) for sim, sample_id in full[: min(k, len(index))]]
     assert [(h.sample_id, h.similarity) for h in top_k(index, query, k)] == expected
