@@ -18,6 +18,7 @@ import operator
 import re
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import UnionType
@@ -243,8 +244,12 @@ def json_writer(hint):
     sort_keys=True) for values annotated `hint`, built once per hint. A
     dataclass fills one template, its keys in sorted order, from one
     attrgetter; enum members and label sets have cached texts; a str is
-    escaped by the function json.dumps calls. Any other value goes through
-    json.dumps itself."""
+    escaped by the function json.dumps calls, and a float is its repr unless
+    JSON spells it otherwise. Any other value goes through json.dumps itself.
+
+    A dataclass's writer also takes the text of any of its fields ready-made,
+    by name, as write(value, name=text); the caller answers for that text
+    being what the field's own writer would give."""
     origin = get_origin(hint)
     if origin is UnionType:  # `X | None`
         inner = json_writer(get_args(hint)[0])
@@ -254,11 +259,9 @@ def json_writer(hint):
         return functools.cache(
             lambda subset: json.dumps([m.value for m in members if m in subset])
         )
-    if origin is tuple:
-        if get_args(hint)[0] is float:
-            return _float_list_text
+    if origin is tuple:  # of one item type
         item = json_writer(get_args(hint)[0])
-        return lambda value: "[" + ", ".join(map(item, value)) + "]"
+        return lambda value: _json_list(map(item, value))
     if is_dataclass(hint):
         hints = get_type_hints(hint)
         names = sorted(hints)
@@ -268,23 +271,64 @@ def json_writer(hint):
         values = operator.attrgetter(*names) if len(names) > 1 else (
             lambda value: [getattr(value, name) for name in names]
         )
-        return lambda value: template % tuple([w(v) for w, v in zip(writers, values(value))])
+
+        def write(value, **texts):
+            if not texts:
+                return template % tuple([w(v) for w, v in zip(writers, values(value))])
+            text = template % tuple([
+                texts.pop(name) if name in texts else w(v)
+                for name, w, v in zip(names, writers, values(value))
+            ])
+            if texts:
+                raise TypeError(f"{hint.__name__} has no field(s) {', '.join(sorted(texts))}")
+            return text
+
+        return write
     if issubclass(hint, Enum):
         return {member: json.dumps(member.value) for member in hint}.__getitem__
     if hint is str:
         return encode_basestring_ascii
     if hint is int:
         return int.__repr__
+    if hint is float:
+        return _float_text
     if hint is bool:
         return {True: "true", False: "false"}.__getitem__
     return functools.partial(json.dumps, sort_keys=True)
 
 
-def _float_list_text(value) -> str:
-    """A tuple of floats as JSON: its list repr, unless that holds nan or inf,
-    which JSON spells NaN and Infinity."""
-    text = repr(list(value))
-    return json.dumps(list(value)) if "n" in text else text
+def _float_text(value: float) -> str:
+    """A float as JSON: its repr, unless it is nan or inf, which JSON spells
+    NaN and Infinity."""
+    return repr(value) if math.isfinite(value) else json.dumps(value)
+
+
+# What json.dumps writes between two list items.
+_ITEM_SEPARATOR = ", "
+
+
+def _json_list(texts) -> str:
+    """A JSON list of items already written as JSON."""
+    return "[" + _ITEM_SEPARATOR.join(texts) + "]"
+
+
+def json_list_prefixes(item_hint, values):
+    """The function k -> json_writer(tuple[item_hint, ...])(values[:k]), all
+    of `values` for k past its end, with each item written once.
+
+    Every prefix's text is a slice of the whole list's text, cut where its
+    k-th item ends, plus the closing bracket."""
+    items = list(map(json_writer(item_hint), values))
+    text = _json_list(items)
+    # Each item ends its length plus one separator past the one before; the
+    # first has no separator and ends its length past the "[".
+    ends = list(accumulate(
+        [len(_ITEM_SEPARATOR) + len(item) for item in items],
+        initial=1 - len(_ITEM_SEPARATOR),
+    ))
+    ends[0] = 1
+    last = len(items)
+    return lambda k: text[:ends[min(k, last)]] + "]"
 
 
 class _UniqueKeyLoader(yaml.SafeLoader):

@@ -19,6 +19,7 @@ import sqlite3
 import threading
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -134,6 +135,9 @@ CACHE_FILENAME = "responses.sqlite3"
 CACHE_KEY_FORMAT = 1
 # How long a statement waits for another connection's lock before failing.
 _BUSY_TIMEOUT_S = 5.0
+# Most keys one read-ahead SELECT binds: SQLite before 3.32 allows 999
+# parameters per statement.
+READ_CHUNK = 999
 
 
 def _decode_text(raw: bytes) -> str | None:
@@ -149,9 +153,11 @@ class ResponseCache:
 
     Rows hold only the key and the response text, and the file's
     `PRAGMA user_version` names the key format the rows were stored under.
-    The connection belongs to the thread that opened the cache, and every put
-    commits on its own, so an interrupted batch keeps each answer stored
-    before the interruption.
+    Inside `read_ahead(keys)`, `get` answers those keys from one
+    `SELECT key, response ... WHERE key IN (...)` per READ_CHUNK keys rather
+    than one statement each. The connection belongs to the thread that
+    opened the cache, and every put commits on its own, so an interrupted
+    batch keeps each answer stored before the interruption.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -177,6 +183,8 @@ class ResponseCache:
         except sqlite3.Error as exc:
             raise self._unusable(exc) from None
         self._db.text_factory = _decode_text
+        # Key -> response as read by read_ahead (None: no row), while it lasts.
+        self._ahead: dict = {}
         try:
             # Checked before the journal mode is set, which rewrites the
             # header of a file that is then refused.
@@ -221,16 +229,40 @@ class ResponseCache:
         except sqlite3.Error as exc:
             raise self._unusable(exc) from None
 
+    @contextmanager
+    def read_ahead(self, keys: Sequence[str]):
+        """Read the rows of `keys` at once, for `get` to answer from until the
+        block ends: one SELECT per READ_CHUNK distinct keys, none for no keys."""
+        distinct = list(dict.fromkeys(keys))
+        self._ahead = dict.fromkeys(distinct)
+        try:
+            for start in range(0, len(distinct), READ_CHUNK):
+                chunk = distinct[start:start + READ_CHUNK]
+                self._ahead.update(self._execute(
+                    "SELECT key, response FROM responses "
+                    f"WHERE key IN ({', '.join('?' * len(chunk))})",
+                    tuple(chunk),
+                ))
+            yield
+        finally:
+            self._ahead = {}
+
     def get(self, key: str) -> str | None:
         """The response cached under a request's `cache_key()`, or None on a miss.
 
         A missing row, or one whose response is not valid text (NULL, a BLOB,
         bytes that are not UTF-8), is a miss, so the next put rewrites it.
+        A key that `read_ahead` read is answered from that read.
         """
-        rows = self._execute("SELECT response FROM responses WHERE key = ?", (key,))
-        return rows[0][0] if rows and isinstance(rows[0][0], str) else None
+        if key in self._ahead:
+            response = self._ahead[key]
+        else:
+            rows = self._execute("SELECT response FROM responses WHERE key = ?", (key,))
+            response = rows[0][0] if rows else None
+        return response if isinstance(response, str) else None
 
     def put(self, key: str, response: str) -> None:
+        self._ahead.pop(key, None)
         self._execute("INSERT OR REPLACE INTO responses VALUES (?, ?)", (key, response))
 
     def stats(self) -> dict:
@@ -261,28 +293,35 @@ def complete(
     Each request's cache key is computed once and serves both its lookup and,
     on a miss, its store. The key is built on the request's `prompt_sha256`
     digest, which the caller's record keeps too, so a lookup needs no prompt
-    text: a request planned by digest is rendered only if it misses. Every
-    cache lookup finishes on the calling thread before any miss is fetched,
-    so identical requests in one batch all miss together; requests are not
-    de-duplicated. Then every miss is rendered, also on the calling thread,
-    and goes to the provider on a pool of min(provider.max_in_flight, misses)
-    threads, or in order on the calling thread when that is 1, as it is for
-    the in-process mocks. The calling thread stores each fresh answer as it
-    takes it, in input order, so no worker touches the cache and an exception
-    after the Nth answer leaves the first N-1 stored. Each result is a
+    text: a request planned by digest is rendered only if it misses. The
+    batch's keys are read from the cache in one SELECT per READ_CHUNK
+    distinct keys (ResponseCache.read_ahead), and each request's `get` is
+    answered from that read. Every cache lookup finishes on the calling
+    thread before any miss is fetched, so identical requests in one batch
+    all miss together; requests are not de-duplicated. Then every miss is
+    rendered, also on the calling thread, and goes to the provider on a pool
+    of min(provider.max_in_flight, misses) threads, or in order on the
+    calling thread when that is 1, as it is for the in-process mocks. The
+    calling thread stores each fresh answer as it takes it, in input order,
+    so no worker touches the cache and an exception after the Nth answer
+    leaves the first N-1 stored. Each result is a
     CompletionResult, or the ProviderError that request raised; refusals are
     never retried or cached, and retry policy for transport errors lives
     inside remote providers. Any other exception propagates.
     """
-    keys = [request.cache_key() for request in requests] if cache is not None else None
     results: list = [None] * len(requests)
-    misses: list = []
-    for i in range(len(requests)):
-        hit = cache.get(keys[i]) if cache is not None else None
-        if hit is None:
-            misses.append(i)
-        else:
-            results[i] = CompletionResult(text=hit, cached=True)
+    if cache is None:
+        misses = list(range(len(requests)))
+    else:
+        keys = [request.cache_key() for request in requests]
+        misses = []
+        with cache.read_ahead(keys):
+            for i, key in enumerate(keys):
+                hit = cache.get(key)
+                if hit is None:
+                    misses.append(i)
+                else:
+                    results[i] = CompletionResult(text=hit, cached=True)
     if not misses:
         return results
 

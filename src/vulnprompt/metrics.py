@@ -12,7 +12,7 @@ downstream consumers may want either. An instance whose truth is empty scores
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass, fields
 
 from .labels import CweLabel
@@ -90,27 +90,36 @@ def rates_from_counts(tp: int, fp: int, fn: int, tn: int) -> dict:
 
 
 def report(pairs) -> MetricsReport:
-    """Compute every metric over one list of pairs in a single pass.
+    """Compute every metric over one list of LabeledPairs: their count table,
+    scored by from_table."""
+    return from_table(Counter([(p.truth, p.pred) for p in pairs]))
+
+
+def from_table(counts) -> MetricsReport:
+    """Compute every metric from a count table: a mapping from (truth, pred)
+    label-set pairs to how many instances hold that pair.
 
     Exact matches and the pooled confusion cells are integer counts, from
-    which rates_from_counts takes four of the metrics. The two per-instance
-    overlaps are summed with fsum, which keeps each mean invariant under pair
-    reordering.
+    which rates_from_counts takes four of the metrics. Each overlap mean is
+    the exact sum of every instance's ratio, rounded once, then divided by
+    the instance count: the value math.fsum over one ratio per instance
+    gives, whatever their order.
     """
     exact = tp = fp = fn = 0
     jaccards = []
     truth_overlaps = []
-    for p in pairs:
-        hits = len(p.pred & p.truth)
-        union = len(p.pred | p.truth)
-        exact += p.pred == p.truth
-        tp += hits
-        fp += len(p.pred) - hits
-        fn += len(p.truth) - hits
+    for (truth, pred), count in counts.items():
+        LabeledPair(truth, pred)  # the vocabulary check, once per key
+        hits = len(pred & truth)
+        union = len(pred | truth)
+        exact += count if pred == truth else 0
+        tp += count * hits
+        fp += count * (len(pred) - hits)
+        fn += count * (len(truth) - hits)
         # Empty prediction against empty truth is a full match in both ratios.
-        jaccards.append(hits / union if union else 1.0)
-        truth_overlaps.append(hits / len(p.truth) if p.truth else (0.0 if p.pred else 1.0))
-    n = len(jaccards)
+        jaccards.append((hits / union if union else 1.0, count))
+        truth_overlaps.append((hits / len(truth) if truth else (0.0 if pred else 1.0), count))
+    n = sum(counts.values())
     if not n:
         raise MetricsError("metrics need at least one pair")
     tn = n * N_LABELS - tp - fp - fn
@@ -118,11 +127,23 @@ def report(pairs) -> MetricsReport:
         n_instances=n,
         n_labels=N_LABELS,
         subset_accuracy=exact / n,
-        partial_match_accuracy=math.fsum(jaccards) / n,
+        partial_match_accuracy=_sum_of_copies(jaccards) / n,
         tp=tp,
         fp=fp,
         fn=fn,
         tn=tn,
-        partial_match_vs_truth=math.fsum(truth_overlaps) / n,
+        partial_match_vs_truth=_sum_of_copies(truth_overlaps) / n,
         **rates_from_counts(tp, fp, fn, tn),
     )
+
+
+def _sum_of_copies(weighted) -> float:
+    """The sum of `count` copies of each `value` in (value, count) pairs,
+    exact and rounded once to the nearest float, as math.fsum rounds it.
+
+    Each float is an integer over a power of two, so the largest denominator
+    is a common one; int / int true division rounds correctly.
+    """
+    ratios = [(value.as_integer_ratio(), count) for value, count in weighted]
+    denominator = max(d for (_, d), _ in ratios)
+    return sum(n * (denominator // d) * count for (n, d), count in ratios) / denominator

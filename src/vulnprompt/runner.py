@@ -7,19 +7,26 @@ prediction log, a JSON report, and a CSV table.
 
 A run first sets up what its strategies use: the provider and the response
 cache only when a prompt strategy runs, and before any index read or embed
-call, so a bad setting for either fails before that work. It then walks one
-flat list of (strategy, k) cells, zero_shot being the single k=0 cell.
+call, so a bad setting for either fails before that work. Under a retrieval
+strategy it ranks every test query once, at the largest shot count, and
+keeps per query what its records need: the neighbours, their id and
+similarity tuples, and the JSON text of both lists with the end of each
+prefix. It then walks one flat list of (strategy, k) cells, zero_shot being
+the single k=0 cell.
 
 Every cell, whatever its strategy, takes one path. Plan: each test sample
-gets its neighbours (retrieval strategies) and its shots, and a completion
-request unless the cell labels by retrieval. A few-shot request carries only
-its prompt's digest, from the sample's prompting.PromptHasher; the prompt is
-rendered only if the cache misses it. Resolve: the requests go to one
-llmclient.complete call, or retrieval labeling unions the neighbours' labels.
-Score and write: one constructor turns each sample's plan and result into a
-record, in test-split order; the records are streamed through
-fileio.atomic_open towards records.partial.jsonl, scored, and dropped before
-the next cell starts, so a run never holds more than one cell's records.
+gets its ranking's first k neighbours (retrieval strategies) and its shots,
+and a completion request unless the cell labels by retrieval. A few-shot
+request carries only its prompt's digest, from the sample's
+prompting.PromptHasher; the prompt is rendered only if the cache misses it.
+Resolve: the requests go to one llmclient.complete call, which reads the
+cell's cache rows in one query per chunk of keys, or retrieval labeling
+unions the neighbours' labels. Score and write: one constructor turns each
+sample's plan and result into a record, in test-split order; each record is
+streamed through fileio.atomic_open towards records.partial.jsonl, its two
+neighbour lists written as prefixes of its query's text, and the cell is
+scored by metrics.from_table from a count of its (truth, pred) label-set
+pairs. No record outlives its cell.
 
 That file lands whole when the loop ends, holding exactly the finished cells.
 On success it is renamed to records.jsonl. Under strict mode the first cell
@@ -36,8 +43,11 @@ perturb the payload.
 
 The annotations of PredictionRecord, CellReport and RunReport are the
 artifacts' format. run() writes each line of records.jsonl through
-config.json_writer, one template filled per record, and report.json through
-config.to_plain; both give the text of json.dumps with sorted keys.
+config.json_writer, one template filled per record (a retrieval record's two
+neighbour lists given as ready-made text, prefixes of its query's lists from
+config.json_list_prefixes, and a parse outcome's text written once per
+outcome), and report.json through config.to_plain; both give the text of
+json.dumps with sorted keys.
 RunReport.from_json and load_records read them back through config.from_plain.
 A value of the wrong type, one that a __post_init__ check refuses, or a cell
 rate that its counts contradict raises RunnerError naming it.
@@ -51,11 +61,19 @@ import io
 import json
 import os
 import time
+from collections import Counter
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, from_plain, json_writer, to_plain
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    from_plain,
+    json_list_prefixes,
+    json_writer,
+    to_plain,
+)
 from .corpus import Corpus, ingest
 from .embedding import EmbeddingInput, HashedBagOfTokensBackend, RemoteEmbeddingBackend
 from .fileio import atomic_open, atomic_write_text
@@ -71,8 +89,10 @@ from .llmclient import (
     complete,
     oracle_for_corpus,
 )
-from .metrics import LabeledPair, MetricsError, MetricsReport, rates_from_counts
-from .metrics import report as metrics_report
+# Cells are scored under this name: bench/tracing.py times the metrics layer
+# by wrapping runner.metrics_report.
+from .metrics import MetricsError, MetricsReport, rates_from_counts
+from .metrics import from_table as metrics_report
 from .prompting import (
     PROMPT_STRATEGIES,
     PromptHasher,
@@ -288,18 +308,42 @@ def _load_checked_index(path, corpus: Corpus, backend, include_labels: bool) -> 
     return index
 
 
-def _record(test_id, strategy, k, neighbors, request, result) -> PredictionRecord:
+class _Ranking:
+    """One test query's ranking at the largest shot count, and what its
+    retrieval records take from it.
+
+    A record at k holds the first k neighbours (all of them when k exceeds
+    the ranking, as slicing gives). Its neighbor_ids and similarities are
+    prefixes of the tuples here, and their JSON texts are prefixes of the
+    texts here, each list encoded once per query rather than once per record.
+    """
+
+    __slots__ = ("neighbors", "ids", "similarities", "_ids_text", "_similarities_text")
+
+    def __init__(self, neighbors: list) -> None:
+        self.neighbors = neighbors
+        self.ids = tuple([n.sample_id for n in neighbors])
+        self.similarities = tuple([n.similarity for n in neighbors])
+        self._ids_text = json_list_prefixes(str, self.ids)
+        self._similarities_text = json_list_prefixes(float, self.similarities)
+
+    def texts(self, k: int) -> dict:
+        """The JSON text of the first k ids and similarities, by record field."""
+        return {"neighbor_ids": self._ids_text(k), "similarities": self._similarities_text(k)}
+
+
+def _record(test_id, strategy, k, ranking, request, result) -> PredictionRecord:
     """Build one record from a planned sample and what resolved it.
 
+    `ranking` is the sample's _Ranking under a retrieval strategy, else None.
     `result` is a label set for retrieval labeling (which has no request),
     and a CompletionResult or a ProviderError for the prompt strategies. The
     record's prompt_hash is the digest the request's cache key was built on.
     """
-    if neighbors is None:
+    if ranking is None:
         neighbor_ids = similarities = None
     else:
-        neighbor_ids = tuple([n.sample_id for n in neighbors])
-        similarities = tuple([n.similarity for n in neighbors])
+        neighbor_ids, similarities = ranking.ids[:k], ranking.similarities[:k]
     if request is None:
         return PredictionRecord(test_id, strategy, k, result, neighbor_ids, similarities)
     if isinstance(result, ProviderError):
@@ -350,7 +394,7 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
         # One top_k call embeds each test query as it reads it and ranks it once,
         # at the largest shot count; every retrieval cell takes a prefix of that
         # ranking, which top_k guarantees equals a direct call at the smaller k.
-        rankings: dict = {}
+        rankings: dict[str, _Ranking] = {}
         if not RETRIEVAL_STRATEGIES.isdisjoint(config.strategies):
             if config.index_path:
                 index = _load_checked_index(
@@ -359,7 +403,10 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
             else:
                 index = build_index_from_corpus(corpus, backend, config.include_labels_in_index)
             queries = (backend.embed(EmbeddingInput(code=sample.code)) for sample in corpus.test)
-            rankings = dict(zip([s.id for s in corpus.test], top_k(index, queries, max_k)))
+            rankings = {
+                sample.id: _Ranking(neighbors)
+                for sample, neighbors in zip(corpus.test, top_k(index, queries, max_k))
+            }
 
         # Each test sample's random shots for every shot count come from at most
         # two draws (see select_random), made once rather than once per cell.
@@ -381,30 +428,32 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
         hashers: dict = {}
 
         def plan(sample, strategy: Strategy, k: int) -> tuple:
-            """One test sample's neighbours and, unless it labels by retrieval,
-            the completion request for its prompt.
+            """One test sample's ranking (retrieval strategies) and, unless it
+            labels by retrieval, the completion request for its prompt.
 
             A few-shot request is planned by its digest, which the sample's
             hasher extends from the previous shot count's; its prompt is
             rendered only if the cache misses it. The zero-shot prompt has no
             shots to share and is rendered at once.
             """
-            neighbors = rankings[sample.id][:k] if strategy in RETRIEVAL_STRATEGIES else None
+            ranking = rankings[sample.id] if strategy in RETRIEVAL_STRATEGIES else None
             if strategy is Strategy.RETRIEVAL_LABELING:
-                return neighbors, None
+                return ranking, None
             if strategy is Strategy.ZERO_SHOT:
-                return neighbors, new_request(prompt=render((), sample.code))
+                return ranking, new_request(prompt=render((), sample.code))
             if strategy is Strategy.RANDOM_FEW_SHOT:
                 shots = random_shots[sample.id][k]
             else:
-                shots = shots_from_neighbors(neighbors, samples_by_id, config.shot_order)
+                shots = shots_from_neighbors(
+                    ranking.neighbors[:k], samples_by_id, config.shot_order
+                )
             hasher = hashers.get(sample.id)
             if hasher is None:
                 hasher = hashers[sample.id] = PromptHasher(sample.code)
             request = new_request(
                 prompt_sha256=hasher.digest(shots), render=lambda: render(shots, sample.code)
             )
-            return neighbors, request
+            return ranking, request
 
         sweep = [
             (strategy, k)
@@ -420,24 +469,36 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
         # Nothing lands if the loop raises; a strict abort breaks out of it,
         # so the finished cells land as the checkpoint.
         write = json_writer(PredictionRecord)
+        # A sweep sees few distinct answers (see parse_labels), so each parse
+        # outcome's text is written once and given to the records that hold it.
+        parsed_text = functools.lru_cache(maxsize=1024)(json_writer(ParseOutcome))
+        truths = [sample.truth for sample in corpus.test]
         with atomic_open(partial_path) as raw, io.TextIOWrapper(raw, encoding="utf-8") as sink:
             for strategy, k in sweep:
                 plans = [plan(sample, strategy, k) for sample in corpus.test]
                 if strategy is Strategy.RETRIEVAL_LABELING:
-                    results = [retrieval_label(neighbors, samples_by_id) for neighbors, _ in plans]
+                    results = [
+                        retrieval_label(ranking.neighbors[:k], samples_by_id)
+                        for ranking, _ in plans
+                    ]
                 else:
                     results = complete([request for _, request in plans], provider, cache)
                     if config.strict:
                         failure = next((r for r in results if isinstance(r, ProviderError)), None)
                         if failure is not None:
                             break
-                cell_records = [
-                    _record(sample.id, strategy, k, *planned, result)
-                    for sample, planned, result in zip(corpus.test, plans, results)
-                ]
-                sink.writelines(write(r) + "\n" for r in cell_records)
+                preds = []
+                failures = 0
+                for sample, (ranking, request), result in zip(corpus.test, plans, results):
+                    record = _record(sample.id, strategy, k, ranking, request, result)
+                    texts = ranking.texts(k) if ranking is not None else {}
+                    if record.parsed is not None:
+                        texts["parsed"] = parsed_text(record.parsed)
+                    sink.write(write(record, **texts) + "\n")
+                    preds.append(record.pred)
+                    failures += record.error is not None
                 sink.flush()
-                cells.append(_score_cell(strategy, k, cell_records, samples_by_id))
+                cells.append(_score_cell(strategy, k, zip(truths, preds), failures))
     if failure is not None:
         raise StrictRunError(
             f"provider failure under strict mode: {failure}", str(partial_path)
@@ -496,20 +557,21 @@ def cells_from_records(records, corpus: Corpus) -> tuple:
     for record in records:
         grouped.setdefault((record.strategy, record.k), []).append(record)
     return tuple(
-        _score_cell(strategy, k, cell_records, samples_by_id)
+        _score_cell(
+            strategy,
+            k,
+            [(samples_by_id[r.test_id].truth, r.pred) for r in cell_records],
+            sum(r.error is not None for r in cell_records),
+        )
         for (strategy, k), cell_records in grouped.items()
     )
 
 
-def _score_cell(strategy: Strategy, k: int, cell_records, samples_by_id) -> CellReport:
-    """Aggregate one (strategy, k) cell's records into its metrics."""
-    pairs = [
-        LabeledPair(truth=samples_by_id[r.test_id].truth, pred=r.pred)
-        for r in cell_records
-    ]
-    failures = sum(1 for r in cell_records if r.error is not None)
+def _score_cell(strategy: Strategy, k: int, pairs, failures: int) -> CellReport:
+    """One (strategy, k) cell's report, from its records' (truth, pred) pairs
+    of label sets, scored from their count table."""
     return CellReport(
-        strategy=strategy, k=k, metrics=metrics_report(pairs), failures=failures
+        strategy=strategy, k=k, metrics=metrics_report(Counter(pairs)), failures=failures
     )
 
 

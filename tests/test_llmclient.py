@@ -157,10 +157,11 @@ def test_cache_round_trip_byte_fidelity(tmp_path):
 )
 def test_unreadable_cache_file_is_a_miss_and_rewritten(tmp_path, stored, value):
     # A row whose response is not valid text (bytes that are not UTF-8, NULL,
-    # a BLOB even of valid text) reads as a miss and the fresh answer replaces it.
+    # a BLOB even of valid text) reads as a miss and the fresh answer replaces it,
+    # whether get reads it alone or complete reads it with the rest of its batch.
     cache = ResponseCache(tmp_path / "cache")
-    req = request()
-    complete([req], FixedProvider("CWE-119"), cache)
+    req, sound = request(), request(prompt="A sound row.")
+    complete([req, sound], FixedProvider("CWE-119"), cache)
     with closing(sqlite3.connect(cache.path)) as raw:
         raw.execute(
             f"UPDATE responses SET response = {stored} WHERE key = ?",
@@ -170,11 +171,69 @@ def test_unreadable_cache_file_is_a_miss_and_rewritten(tmp_path, stored, value):
     assert cache.get(req.cache_key()) is None
 
     provider = FixedProvider("CWE-476")
-    (result,) = complete([req], provider, cache)
-    assert (result.text, result.cached, provider.call_count) == ("CWE-476", False, 1)
+    statements = traced_statements(cache)
+    first, second = complete([sound, req], provider, cache)
+    assert len(selects(statements)) == 1
+    assert (first.text, first.cached) == ("CWE-119", True)
+    assert (second.text, second.cached, provider.call_count) == ("CWE-476", False, 1)
     assert cache.get(req.cache_key()) == "CWE-476"
     with closing(sqlite3.connect(cache.path)) as raw:
-        assert raw.execute("SELECT typeof(response) FROM responses").fetchall() == [("text",)]
+        assert raw.execute("SELECT typeof(response) FROM responses").fetchall() == [
+            ("text",), ("text",)
+        ]
+
+
+def traced_statements(cache) -> list:
+    """Every SQL statement the cache's connection runs from now on."""
+    statements = []
+    cache._db.set_trace_callback(statements.append)
+    return statements
+
+
+def selects(statements) -> list:
+    return [s for s in statements if s.lstrip().upper().startswith("SELECT")]
+
+
+def test_complete_reads_a_batch_in_one_select_per_chunk(tmp_path, monkeypatch):
+    monkeypatch.setattr(llmclient, "READ_CHUNK", 3)
+    cache = ResponseCache(tmp_path / "cache")
+    requests = [request(prompt=f"p{i}") for i in range(8)]
+    provider = ScriptedProvider({f"p{i}": f"answer-p{i}" for i in range(8)})
+    complete(requests[:7], provider, cache)
+    statements = traced_statements(cache)
+    results = complete(requests, provider, cache)
+    # 8 distinct keys in chunks of 3, 3 and 2; p7 was never stored.
+    reads = selects(statements)
+    assert [read.count("'") // 2 for read in reads] == [3, 3, 2]
+    assert all(read.startswith("SELECT key, response FROM responses WHERE key IN") for read in reads)
+    assert [(r.text, r.cached) for r in results] == [
+        (f"answer-p{i}", i < 7) for i in range(8)
+    ]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_one_key_twice_in_a_batch_is_read_once_and_answered_twice(tmp_path, warm):
+    cache = ResponseCache(tmp_path / "cache")
+    req = request()
+    if warm:
+        complete([req], FixedProvider("CWE-119"), cache)
+    provider = FixedProvider("CWE-119")
+    statements = traced_statements(cache)
+    results = complete([req, request(prompt="Other."), req], provider, cache)
+    (read,) = selects(statements)
+    assert read.count(req.cache_key()) == 1
+    assert [r.cached for r in results] == [warm, False, warm]
+    # Both copies of a missed prompt miss together; each is fetched.
+    assert provider.call_count == (1 if warm else 3)
+
+
+def test_an_empty_batch_runs_no_statement(tmp_path):
+    cache = ResponseCache(tmp_path / "cache")
+    provider = FixedProvider("CWE-119")
+    statements = traced_statements(cache)
+    assert complete([], provider, cache) == []
+    assert statements == []
+    assert provider.call_count == 0
 
 
 def test_complete_without_cache_calls_provider_each_time():

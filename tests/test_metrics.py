@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from vulnprompt.metrics import (
     LabeledPair,
     MetricsError,
     MetricsReport,
+    from_table,
     report,
 )
 
@@ -204,3 +208,77 @@ def test_permutation_invariance(raw, rng):
     shuffled = list(pairs)
     rng.shuffle(shuffled)
     assert report(shuffled) == report(pairs)
+
+
+# Every label set over LABEL_ORDER: 16 truths by 16 predictions, empty ones included.
+ALL_SETS = [
+    frozenset(codes)
+    for size in range(len(LABEL_ORDER) + 1)
+    for codes in itertools.combinations(LABEL_ORDER, size)
+]
+
+
+def exact_mean(ratios) -> float:
+    """The mean of exact ratios, summed as Fractions and rounded once: the value
+    math.fsum gives, divided by the count."""
+    return float(sum(ratios, Fraction(0))) / len(ratios)
+
+
+def assert_table_scores_as_pairs(raw):
+    pairs = as_label_pairs(raw)
+    table = Counter((p.truth, p.pred) for p in pairs)
+    assert len(table) <= 16 * 16
+    assert sum(table.values()) == len(pairs)
+    scored = from_table(table)
+    assert scored == report(pairs)
+    expected = brute_force_metrics(raw)
+    # The oracle computes these exactly as from_table does, so they agree bit for
+    # bit; it sums the Jaccard ratios left to right and takes Hamming accuracy as
+    # agreements / slots, so those two agree to rounding.
+    for name in ("subset_accuracy", "micro_precision", "micro_recall", "micro_f1",
+                 "tp", "fp", "fn", "tn"):
+        assert getattr(scored, name) == expected[name], name
+    for name in ("hamming_accuracy", "partial_match_accuracy"):
+        assert abs(getattr(scored, name) - expected[name]) <= 1e-12, name
+    # Each overlap mean is the exact sum rounded once, then divided by n.
+    jaccards, truth_overlaps = [], []
+    for truth, pred in raw:
+        truth, pred = set(truth), set(pred)
+        hits, union = len(truth & pred), len(truth | pred)
+        jaccards.append(Fraction(hits / union) if union else Fraction(1))
+        truth_overlaps.append(
+            Fraction(hits / len(truth)) if truth else Fraction(0 if pred else 1)
+        )
+    assert scored.partial_match_accuracy == exact_mean(jaccards)
+    assert scored.partial_match_vs_truth == exact_mean(truth_overlaps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(ALL_SETS), st.sampled_from(ALL_SETS)), min_size=1,
+             max_size=30)
+    | st.builds(
+        lambda weights, n, seed: random.Random(seed).choices(
+            [(t, p) for t in ALL_SETS for p in ALL_SETS], weights=weights, k=n
+        ),
+        st.lists(st.integers(0, 3), min_size=256, max_size=256).filter(any),
+        st.integers(1, 4000),
+        st.integers(0, 2**32),
+    )
+)
+def test_a_count_table_scores_as_its_pairs(raw):
+    assert_table_scores_as_pairs(raw)
+
+
+def test_a_count_table_of_every_truth_and_prediction_scores_as_its_pairs():
+    every_pair = [(truth, pred) for truth in ALL_SETS for pred in ALL_SETS]
+    assert_table_scores_as_pairs(every_pair)
+    assert_table_scores_as_pairs(every_pair * 15)  # 3,840 pairs
+    assert_table_scores_as_pairs([(truth, frozenset()) for truth in ALL_SETS])
+
+
+def test_from_table_rejects_an_empty_table_and_a_non_label():
+    with pytest.raises(MetricsError, match="at least one pair"):
+        from_table({})
+    with pytest.raises(MetricsError, match="pred contains non-label value 'CWE-119'"):
+        from_table({(label_set(["CWE-119"]), frozenset(["CWE-119"])): 1})

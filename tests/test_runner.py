@@ -11,7 +11,7 @@ import threading
 from contextlib import closing
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from http_stub import StubResponse, StubSession
@@ -53,7 +53,7 @@ from vulnprompt.runner import (
     run,
 )
 from vulnprompt.synthetic import make_synthetic_corpus
-from vulnprompt.vecindex import save_index, top_k
+from vulnprompt.vecindex import Neighbor, save_index, top_k
 
 
 @pytest.fixture(scope="module")
@@ -537,6 +537,48 @@ def test_equal_train_samples_rank_by_id_as_sorted_orders_them(tmp_path):
     assert record.similarities[0] == record.similarities[1]
 
 
+def awkward_id_corpus(path) -> None:
+    """22 train rows and 4 test rows whose ids hold NUL suffixes, non-ASCII
+    letters and prefixes of one another. Train rows 12 apart share their code
+    and labels, so their similarities tie."""
+    stems = ["a", "a\x00", "a\x00\x00", "ab", "a\xe9", "\xe9", "\xe9\x00", "\u03a9", "\u03a9a",
+             "\U0001f600", "x", "x\x00", "x\x00x", "xy", "y", "y\x00", "\u2603", "\u2603\x00",
+             "b", "ba", "b\x00a", "c"]
+    labels = ["CWE-119", "CWE-120", "CWE-469", "CWE-476"]
+    rows = [
+        (stem, f"int f{i % 6}(char *s) {{ return s[{i % 6}]; }}", [labels[i % 4]], "train")
+        for i, stem in enumerate(stems)
+    ] + [
+        (stem, f"int g{i}(char *s) {{ return s[{i}]; }}", [labels[i]], "test")
+        for i, stem in enumerate(["t", "t\x00", "t\xe9", "\u03a9t"])
+    ]
+    path.write_text("".join(
+        json.dumps({"id": i, "code": c, "labels": ls, "split": split}) + "\n"
+        for i, c, ls, split in rows
+    ), encoding="utf-8")
+
+
+def test_retrieval_records_write_their_ranking_text_as_json_dumps_does(tmp_path):
+    corpus_path = tmp_path / "corpus.jsonl"
+    awkward_id_corpus(corpus_path)
+    strategies = (Strategy.RETRIEVAL_FEW_SHOT, Strategy.RETRIEVAL_LABELING)
+    config = make_config(corpus_path, tmp_path / "out", strategies=strategies, shot_counts=(1, 50))
+    run(config, provider=ParrotProvider())
+    lines = (tmp_path / "out" / "records.jsonl").read_text(encoding="utf-8").splitlines()
+    records = load_records(tmp_path / "out" / "records.jsonl")
+    assert len(records) == 2 * 2 * 4
+    assert any(len(set(r.similarities)) < len(r.similarities) for r in records)
+    for line, record in zip(lines, records):
+        assert line == json.dumps(to_plain(record), sort_keys=True)
+    longest = {(r.strategy, r.test_id): r for r in records if r.k == 50}
+    for record in records:
+        full = longest[record.strategy, record.test_id]
+        assert len(full.neighbor_ids) == len(full.similarities) == 22
+        k = min(record.k, 22)
+        assert record.neighbor_ids == full.neighbor_ids[:k]
+        assert record.similarities == full.similarities[:k]
+
+
 def test_random_strategy_records_have_no_neighbors(small_corpus_path, small_corpus, tmp_path):
     config = make_config(
         small_corpus_path,
@@ -937,8 +979,35 @@ awkward_floats = st.floats() | st.sampled_from(
         error=optional(any_text),
     )
 )
+@example(PredictionRecord(
+    "t", Strategy.RETRIEVAL_FEW_SHOT, 3, frozenset(), ("a", "a\x00", "\xe9"), (math.nan, -math.inf, -0.0)
+))
 def test_the_record_writer_writes_the_text_json_dumps_writes(record):
-    assert json_writer(PredictionRecord)(record) == json.dumps(to_plain(record), sort_keys=True)
+    write = json_writer(PredictionRecord)
+    assert write(record) == json.dumps(to_plain(record), sort_keys=True)
+    if record.parsed is not None:
+        # The parse outcome's text given ready-made, as run() writes it.
+        parsed = json_writer(ParseOutcome)(record.parsed)
+        assert write(record, parsed=parsed) == json.dumps(to_plain(record), sort_keys=True)
+    if record.neighbor_ids is None or record.similarities is None:
+        return
+    # A retrieval record at each k, with its two lists' text given ready-made
+    # from its query's ranking, as run() writes it.
+    ranking = runner._Ranking([
+        Neighbor(sample_id, similarity)
+        for sample_id, similarity in zip(record.neighbor_ids, record.similarities)
+    ])
+    for k in range(len(ranking.ids) + 2):
+        at_k = dataclasses.replace(
+            record, k=k, neighbor_ids=ranking.ids[:k], similarities=ranking.similarities[:k]
+        )
+        assert write(at_k, **ranking.texts(k)) == json.dumps(to_plain(at_k), sort_keys=True)
+
+
+def test_the_record_writer_refuses_text_for_a_field_it_lacks():
+    record = PredictionRecord("t", Strategy.RETRIEVAL_LABELING, 1, frozenset())
+    with pytest.raises(TypeError, match="PredictionRecord has no field"):
+        json_writer(PredictionRecord)(record, neighbours="[]")
 
 
 @pytest.mark.parametrize(
