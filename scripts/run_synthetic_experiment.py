@@ -18,7 +18,7 @@ from pathlib import Path
 
 from vulnprompt.cli import _at_least_one, _Parser, _run_command
 from vulnprompt.config import DEFAULT_SHOT_COUNTS, ExperimentConfig, ProviderSettings
-from vulnprompt.corpus import dump_jsonl, ingest, validate
+from vulnprompt.corpus import dump_jsonl, validate
 from vulnprompt.prompting import Strategy
 from vulnprompt.runner import emit_curves, emit_table, run
 from vulnprompt.synthetic import make_synthetic_corpus
@@ -54,8 +54,7 @@ def sweep(args) -> int:
     corpus = make_synthetic_corpus(seed=args.seed, n_per_label=args.n_per_label)
     corpus_path = args.out / "corpus.jsonl"
     dump_jsonl(corpus, corpus_path)
-    loaded = ingest(corpus_path)
-    summary = validate(loaded)
+    summary = validate(corpus)
     print(
         f"synthetic corpus: {summary.train_size} train / {summary.test_size} test "
         f"(seed {args.seed}, n_per_label {args.n_per_label})"

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import os
 import re
-import tempfile
+import secrets
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -25,7 +25,9 @@ def atomic_open(path: str | Path):
     path when the block ends cleanly, and delete it when the block raises."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+    # Mode 0o666 less the umask, as open() gives; mkstemp would give 0o600.
+    tmp_name = target.parent / f".{target.name}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             yield handle

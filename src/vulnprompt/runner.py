@@ -102,7 +102,7 @@ from .prompting import (
     select_random,
     shots_from_neighbors,
 )
-from .vecindex import REBUILD_HINT, IndexEntry, VectorIndex, build, load_index, top_k
+from .vecindex import IndexEntry, VectorIndex, build, load_index, top_k
 
 RETRIEVAL_STRATEGIES = frozenset({Strategy.RETRIEVAL_FEW_SHOT, Strategy.RETRIEVAL_LABELING})
 
@@ -290,24 +290,6 @@ def _build_provider(config: ExperimentConfig, corpus: Corpus):
     return FixedProvider(settings.fixed_text)
 
 
-def _load_checked_index(path, corpus: Corpus, backend, include_labels: bool) -> VectorIndex:
-    """Load a saved index; reject it unless it holds this run's train split, stamped
-    as index_stamp stamps it for this run's backend and label setting."""
-    index = load_index(path)
-    if index.built_from is None:
-        raise RunnerError(f"index {path} has no built_from stamp; {REBUILD_HINT}")
-    train = corpus.train
-    expected = {**index_stamp(corpus, backend, include_labels),
-                "ids": [s.id for s in train], "labels": [s.truth for s in train]}
-    found = {**index.built_from, "ids": list(index.ids), "labels": list(index.truths)}
-    differing = sorted(k for k in expected.keys() | found.keys() if expected.get(k) != found.get(k))
-    if differing:
-        raise RunnerError(
-            f"index {path} does not match this run in {', '.join(differing)}; {REBUILD_HINT}"
-        )
-    return index
-
-
 class _Ranking:
     """One test query's ranking at the largest shot count, and what its
     retrieval records take from it.
@@ -397,8 +379,11 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
         rankings: dict[str, _Ranking] = {}
         if not RETRIEVAL_STRATEGIES.isdisjoint(config.strategies):
             if config.index_path:
-                index = _load_checked_index(
-                    config.index_path, corpus, backend, config.include_labels_in_index
+                index = load_index(
+                    config.index_path,
+                    [sample.id for sample in corpus.train],
+                    [sample.truth for sample in corpus.train],
+                    index_stamp(corpus, backend, config.include_labels_in_index),
                 )
             else:
                 index = build_index_from_corpus(corpus, backend, config.include_labels_in_index)
@@ -550,11 +535,14 @@ def cells_from_records(records, corpus: Corpus) -> tuple:
 
     run() scores each cell with _score_cell, as this function does, so
     recomputing from a saved records.jsonl must reproduce the report's cells;
-    this is the audit path for checking that reports and records agree.
+    this is the audit path for checking that reports and records agree. A
+    record whose test_id the corpus does not hold raises RunnerError naming it.
     """
     samples_by_id = corpus.by_id()
     grouped: dict = {}
     for record in records:
+        if record.test_id not in samples_by_id:
+            raise RunnerError(f"record test_id {record.test_id!r} is not in the corpus")
         grouped.setdefault((record.strategy, record.k), []).append(record)
     return tuple(
         _score_cell(

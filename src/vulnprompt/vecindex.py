@@ -36,9 +36,11 @@ a product over the whole matrix split between threads at a row that is not
 a multiple of four rounds some rows differently. This was measured with
 OpenBLAS 0.3.31, and `tests/test_blocked_ranking.py` checks both claims.
 
-An index file is one JSON header line (format, ids, label codes and the
-`built_from` stamp) followed by the matrix as one .npy payload, so the rows
+An index file is one JSON header line, holding the format and the
+`built_from` stamp, followed by the matrix as one .npy payload, so the rows
 load bit for bit as they were held, and nothing in the file is unpickled.
+The file keeps no ids or labels: the stamp pins the train split they come
+from, and the run that loads the file supplies them from its corpus.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ import numpy as np
 
 from .embedding import NORM_TOLERANCE, EmbeddingVector
 from .fileio import atomic_open
-from .labels import UnknownLabelError, label_codes, label_set
 
 # The header's "format" value; a file whose first line lacks it is rejected.
 INDEX_FORMAT = "vulnprompt-index/1"
@@ -229,17 +230,23 @@ def _exact_similarities(matrix: np.ndarray, query: np.ndarray, rows: list) -> np
 
 
 def save_index(index: VectorIndex, path: str | Path) -> None:
-    """Write one JSON header line, then the matrix as one .npy payload."""
-    labels = [label_codes(truth) for truth in index.truths]
-    header = {"format": INDEX_FORMAT, "ids": index.ids, "labels": labels,
-              "built_from": index.built_from}
+    """Write one JSON header line, the format and the index's `built_from`
+    stamp, then the matrix as one .npy payload."""
+    header = {"format": INDEX_FORMAT, "built_from": index.built_from}
     with atomic_open(path) as handle:
         handle.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         np.lib.format.write_array(handle, index.matrix, allow_pickle=False)
 
 
-def load_index(path: str | Path) -> VectorIndex:
-    """Read a file written by save_index, checking every row at once."""
+def load_index(path: str | Path, ids, truths, built_from: dict) -> VectorIndex:
+    """Read a file written by save_index as the index of a train split.
+
+    `ids` and `truths` are the split's sample ids and label sets in split
+    order, and `built_from` the stamp its index must carry. A file whose
+    stamp differs is refused, naming every differing key, before its matrix
+    is read; then the matrix must hold one unit row per id. Keys other than
+    `format` and `built_from` in the header are ignored.
+    """
     if Path(path).is_dir():
         raise VecIndexError(f"index path {path} is a directory, not an index file")
     with open(path, "rb") as handle:
@@ -249,23 +256,21 @@ def load_index(path: str | Path) -> VectorIndex:
             header = None
         if not isinstance(header, dict) or header.get("format") != INDEX_FORMAT:
             raise VecIndexError(f"{path} is not a {INDEX_FORMAT} file; {REBUILD_HINT}")
+        found = header.get("built_from")
+        if not isinstance(found, dict):
+            raise VecIndexError(f"index {path} has no built_from stamp; {REBUILD_HINT}")
+        differing = sorted(
+            key for key in built_from.keys() | found.keys() if built_from.get(key) != found.get(key)
+        )
+        if differing:
+            raise VecIndexError(
+                f"index {path} does not match this run in {', '.join(differing)}; {REBUILD_HINT}"
+            )
         try:
             matrix = np.lib.format.read_array(handle, allow_pickle=False)
         except (ValueError, EOFError) as exc:
             raise VecIndexError(f"{path}: unreadable matrix payload: {exc}") from None
-    ids, labels, built_from = (header.get(key) for key in ("ids", "labels", "built_from"))
-    if not (isinstance(ids, list) and ids and all(isinstance(i, str) and i for i in ids)
-            and len(set(ids)) == len(ids)):
-        raise VecIndexError(f"{path}: ids must be a non-empty list of unique non-empty strings")
-    if not isinstance(built_from, (dict, type(None))):
-        raise VecIndexError(f"{path}: built_from must be a mapping or null")
-    if not (isinstance(labels, list) and len(labels) == len(ids)
-            and all(isinstance(codes, list) and codes for codes in labels)):
-        raise VecIndexError(f"{path}: labels must hold one non-empty list of label codes per id")
-    try:
-        truths = tuple(label_set(codes) for codes in labels)
-    except UnknownLabelError as exc:
-        raise VecIndexError(f"{path}: labels: {exc}") from None
+    ids = tuple(ids)
     if (matrix.dtype != np.float64 or matrix.ndim != 2
             or matrix.shape[0] != len(ids) or not matrix.shape[1]):
         raise VecIndexError(
@@ -278,4 +283,4 @@ def load_index(path: str | Path) -> VectorIndex:
         row = bad[0]
         raise VecIndexError(f"{path}: row {ids[row]!r} has norm {float(norms[row])!r}, not 1.0")
     matrix.flags.writeable = False
-    return VectorIndex(tuple(ids), matrix, truths, built_from)
+    return VectorIndex(ids, matrix, tuple(truths), found)

@@ -21,12 +21,12 @@ import vulnprompt
 from vulnprompt.cli import EXIT_DATA, EXIT_OK, EXIT_PROVIDER, EXIT_USAGE, main
 from vulnprompt.corpus import Corpus, dump_jsonl, ingest
 from vulnprompt.embedding import EmbeddingInput, EmbeddingVector, HashedBagOfTokensBackend
-from vulnprompt.labels import CweLabel
+from vulnprompt.labels import CweLabel, label_set
 from vulnprompt.llmclient import CACHE_FILENAME
 from vulnprompt.metrics import rates_from_counts
 from vulnprompt.prompting import Strategy
 from vulnprompt.runner import build_index_from_corpus, load_records
-from vulnprompt.vecindex import IndexEntry, build, load_index, save_index
+from vulnprompt.vecindex import IndexEntry, build, save_index
 
 
 @pytest.fixture()
@@ -135,8 +135,8 @@ def test_index_build_embeds_with_a_remote_backend(workdir, monkeypatch):
     index_path = workdir / "index.jsonl"
     config_path = write_config(workdir, index_path=str(index_path), embedding=embedding)
     assert main(["index", "build", "--config", str(config_path)]) == EXIT_OK
-    index = load_index(index_path)
-    assert (len(index), index.dimension) == (22, 8)
+    header, matrix = read_index_file(index_path)
+    assert header["built_from"]["backend"] == "remote" and matrix.shape == (22, 8)
     assert posted == [("http://embeddings.invalid/v1", "embed-small")] * 22
 
 
@@ -196,20 +196,13 @@ def set_vectors(header, matrix, value):
     return header, matrix.astype(value)
 
 
-def set_labels(header, matrix, value):
-    header["labels"][0] = value
-    return header, matrix
-
-
 @pytest.mark.parametrize(
     ("corrupt", "value", "message"),
     [
         (set_vector_head, float("nan"), "has norm nan, not 1.0"),
         (set_vectors, str, "matrix is <U"),
-        (set_labels, ["CWE-999"], "labels: not an in-scope CWE label: 'CWE-999'"),
-        (set_labels, "CWE-119", "labels must hold one non-empty list of label codes per id"),
     ],
-    ids=["nan", "string", "unknown-label", "labels-not-a-list"],
+    ids=["nan", "string"],
 )
 def test_run_with_corrupt_index_value_exits_3(workdir, capsys, corrupt, value, message):
     index_path = workdir / "index.bin"
@@ -222,15 +215,18 @@ def test_run_with_corrupt_index_value_exits_3(workdir, capsys, corrupt, value, m
 
 
 def test_run_with_index_labels_differing_from_corpus_exits_3(workdir, capsys):
+    """The index is built before one train sample's labels change in the corpus."""
     index_path = workdir / "index.bin"
-    config_path = write_config(workdir, index_path=str(index_path))
+    config_path = write_config(workdir, index_path=str(index_path), include_labels_in_index=False)
     assert main(["index", "build", "--config", str(config_path)]) == EXIT_OK
-    header, matrix = read_index_file(index_path)
-    header["labels"][0] = ["CWE-469"] if header["labels"][0] != ["CWE-469"] else ["CWE-476"]
-    write_index_file(index_path, header, matrix)
+    corpus = ingest(workdir / "corpus.jsonl")
+    first = corpus.train[0]
+    other = label_set(["CWE-476" if first.truth == label_set(["CWE-469"]) else "CWE-469"])
+    relabelled = replace(first, truth=other)
+    dump_jsonl(replace(corpus, train=(relabelled, *corpus.train[1:])), workdir / "corpus.jsonl")
     capsys.readouterr()
     assert main(["run", "--config", str(config_path)]) == EXIT_DATA
-    assert f"index {index_path} does not match this run in labels;" in capsys.readouterr().err
+    assert f"index {index_path} does not match this run in train_sha256;" in capsys.readouterr().err
 
 
 def edit_train_code(workdir, index_path):
@@ -293,7 +289,7 @@ def object_payload(workdir, index_path):
     [
         (index_with(include_labels=False), "does not match this run in include_labels;"),
         (edit_train_code, "does not match this run in train_sha256;"),
-        (index_test_samples_too, "does not match this run in ids, labels, train_sha256;"),
+        (index_test_samples_too, "does not match this run in train_sha256;"),
         (index_with(dimension=64), "does not match this run in dimension;"),
         (old_jsonl_index, "is not a vulnprompt-index/1 file; rebuild it with `vulnprompt index"),
         (unstamped_index, "has no built_from stamp; rebuild it with `vulnprompt index build`"),

@@ -10,6 +10,7 @@ import sqlite3
 import threading
 from contextlib import closing
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -28,7 +29,7 @@ from vulnprompt.config import (
 from vulnprompt.corpus import dump_jsonl, ingest
 from vulnprompt.embedding import EmbeddingInput, HashedBagOfTokensBackend
 from vulnprompt.labeling import ParseOutcome
-from vulnprompt.labels import CweLabel, label_set
+from vulnprompt.labels import CweLabel, label_codes, label_set
 from vulnprompt.llmclient import (
     CACHE_FILENAME,
     CacheError,
@@ -53,7 +54,14 @@ from vulnprompt.runner import (
     run,
 )
 from vulnprompt.synthetic import make_synthetic_corpus
-from vulnprompt.vecindex import Neighbor, save_index, top_k
+from vulnprompt.vecindex import (
+    INDEX_FORMAT,
+    Neighbor,
+    VecIndexError,
+    load_index,
+    save_index,
+    top_k,
+)
 
 
 @pytest.fixture(scope="module")
@@ -466,6 +474,15 @@ def test_artifacts_written_and_recomputable(small_corpus_path, tmp_path):
     assert cells_from_records(records, corpus) == report.cells
 
 
+def test_cells_from_records_refuses_a_test_id_the_corpus_lacks(small_corpus_path, tmp_path):
+    out = tmp_path / "out"
+    run(make_config(small_corpus_path, out, strategies=(Strategy.RETRIEVAL_LABELING,)))
+    records = load_records(out / "records.jsonl")
+    stray = dataclasses.replace(records[-1], test_id="syn-119-999")
+    with pytest.raises(RunnerError, match="record test_id 'syn-119-999' is not in the corpus"):
+        cells_from_records([*records, stray], ingest(small_corpus_path))
+
+
 def test_retrieval_records_carry_k_neighbors(small_corpus_path, small_corpus, tmp_path):
     config = make_config(
         small_corpus_path,
@@ -627,6 +644,38 @@ def test_prebuilt_index_is_used(small_corpus_path, small_corpus, tmp_path, hashe
     ]
 
 
+def test_an_index_file_with_ids_and_labels_in_its_header_gives_the_same_records(
+    small_corpus_path, small_corpus, tmp_path, hashed_backend
+):
+    """A file whose header also holds every train id and its label codes, as
+    index files once did, loads without a rebuild, and its run writes the
+    bytes a run from a file without them writes."""
+    index = build_index_from_corpus(small_corpus, hashed_backend, include_labels=True)
+    current, older = tmp_path / "current.bin", tmp_path / "older.bin"
+    save_index(index, current)
+    header = {
+        "format": INDEX_FORMAT,
+        "ids": list(index.ids),
+        "labels": [label_codes(truth) for truth in index.truths],
+        "built_from": index.built_from,
+    }
+    with open(older, "wb") as handle:
+        handle.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        np.lib.format.write_array(handle, index.matrix, allow_pickle=False)
+    loaded = load_index(older, [s.id for s in small_corpus.train],
+                        [s.truth for s in small_corpus.train], index.built_from)
+    assert (loaded.ids, loaded.truths) == (index.ids, index.truths)
+    assert loaded.built_from == index.built_from
+    assert loaded.matrix.tobytes() == index.matrix.tobytes()
+    written = []
+    for name, path in (("current", current), ("older", older)):
+        out = tmp_path / name
+        run(make_config(small_corpus_path, out, index_path=str(path), shot_counts=(1, 3)),
+            provider=ParrotProvider())
+        written.append((out / "records.jsonl").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_index_dimension_mismatch_rejected(small_corpus_path, small_corpus, tmp_path):
     from vulnprompt.embedding import HashedBagOfTokensBackend
 
@@ -641,7 +690,7 @@ def test_index_dimension_mismatch_rejected(small_corpus_path, small_corpus, tmp_
         shot_counts=(1,),
         index_path=str(index_path),
     )
-    with pytest.raises(RunnerError, match="does not match this run in dimension;"):
+    with pytest.raises(VecIndexError, match="does not match this run in dimension;"):
         run(config)
 
 

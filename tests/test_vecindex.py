@@ -220,8 +220,14 @@ def test_matches_brute_force_oracle_small():
             assert hit.similarity == pytest.approx(sim, abs=1e-12)
 
 
-# vecindex stores a stamp as given; only the runner compares it with a run's.
+# vecindex compares a file's stamp with the one its caller expects; only the
+# runner computes a stamp from a corpus.
 STAMP = {"backend": "test", "include_labels": True, "train_sha256": "0" * 64}
+
+
+def load_split(path, index, stamp=STAMP):
+    """Load `path` as the index of the split that `index` holds."""
+    return load_index(path, index.ids, index.truths, stamp)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -232,11 +238,18 @@ def test_save_load_round_trip(tmp_path):
     index = build(entries, built_from=STAMP)
     path = tmp_path / "index.bin"
     save_index(index, path)
-    loaded = load_index(path)
+    loaded = load_split(path, index)
     assert list(loaded.ids) == ["a", "b"]
     assert loaded.truths == index.truths
     assert loaded.built_from == STAMP
     assert loaded.matrix.tobytes() == index.matrix.tobytes()  # bit-identical rows
+
+
+def test_a_saved_header_holds_only_the_format_and_the_stamp(tmp_path):
+    path = tmp_path / "index.bin"
+    save_index(build([entry("a", (1, 0)), entry("b", (0, 1))], built_from=STAMP), path)
+    header = json.loads(path.read_bytes().partition(b"\n")[0])
+    assert header == {"format": INDEX_FORMAT, "built_from": STAMP}
 
 
 def test_save_load_save_gives_identical_bytes(tmp_path):
@@ -244,14 +257,14 @@ def test_save_load_save_gives_identical_bytes(tmp_path):
     index = build([entry(f"s{i:02d}", random_unit(rng, 16)) for i in range(30)], built_from=STAMP)
     first, second = tmp_path / "first.bin", tmp_path / "second.bin"
     save_index(index, first)
-    save_index(load_index(first), second)
+    save_index(load_split(first, index), second)
     assert first.read_bytes() == second.read_bytes()
 
 
 def test_index_keeps_one_read_only_matrix(tmp_path):
-    index = build([entry("a", (1, 0)), entry("b", (0, 1)), entry("c", (1, 1))])
+    index = build([entry("a", (1, 0)), entry("b", (0, 1)), entry("c", (1, 1))], built_from=STAMP)
     save_index(index, tmp_path / "index.bin")
-    for held in (index, load_index(tmp_path / "index.bin")):
+    for held in (index, load_split(tmp_path / "index.bin", index)):
         assert held.matrix.shape == (3, 2) and held.matrix.dtype == np.float64
         with pytest.raises(ValueError, match="read-only"):
             held.matrix[0, 0] = 0.0
@@ -263,14 +276,14 @@ def test_load_rejects_malformed(tmp_path):
     path = tmp_path / "index.jsonl"
     path.write_text('{"id": "a", "vector": [1.0, 0.0], "labels": ["CWE-119"]}\n', encoding="utf-8")
     with pytest.raises(VecIndexError, match="rebuild it with `vulnprompt index build`"):
-        load_index(path)
+        load_index(path, ["a"], [label_set(["CWE-119"])], STAMP)
 
 
 def test_load_rejects_a_file_whose_first_line_is_not_json(tmp_path):
     path = tmp_path / "index.zip"
     path.write_bytes(b"PK\x03\x04\x14\x00\x00\x00\x08\x00\xff\xfe\n\x00")
     with pytest.raises(VecIndexError, match=f"is not a {INDEX_FORMAT} file"):
-        load_index(path)
+        load_index(path, ["a"], [label_set(["CWE-119"])], STAMP)
 
 
 def write_index_file(path, header, matrix, allow_pickle=False):
@@ -281,23 +294,25 @@ def write_index_file(path, header, matrix, allow_pickle=False):
 
 
 def good_header(**changes):
-    header = {
-        "format": INDEX_FORMAT,
-        "ids": ["a", "b"],
-        "labels": [["CWE-119"], ["CWE-120"]],
-        "built_from": STAMP,
-    }
+    header = {"format": INDEX_FORMAT, "built_from": STAMP}
     header.update(changes)
     return header
 
 
 GOOD_MATRIX = np.array([[1.0, 0.0], [0.0, 1.0]])
+GOOD_IDS = ("a", "b")
+GOOD_TRUTHS = (label_set(["CWE-119"]), label_set(["CWE-120"]))
+
+
+def load_good_split(path, stamp=STAMP):
+    return load_index(path, GOOD_IDS, GOOD_TRUTHS, stamp)
 
 
 def test_a_hand_written_index_file_loads(tmp_path):
     write_index_file(tmp_path / "index.bin", good_header(), GOOD_MATRIX)
-    index = load_index(tmp_path / "index.bin")
-    assert list(index.ids) == ["a", "b"] and index.built_from == STAMP
+    index = load_good_split(tmp_path / "index.bin")
+    assert list(index.ids) == ["a", "b"] and index.truths == GOOD_TRUTHS
+    assert index.built_from == STAMP
 
 
 @pytest.mark.parametrize(
@@ -309,9 +324,6 @@ def test_a_hand_written_index_file_loads(tmp_path):
         (good_header(), np.array([[1.0, 0.0], [np.inf, 0.0]]), "row 'b' has norm inf"),
         ([1, 2], GOOD_MATRIX, "is not a vulnprompt-index/1 file"),
         ("idvectorlabels", GOOD_MATRIX, "is not a vulnprompt-index/1 file"),
-        (good_header(labels=[["CWE-119"], ["CWE-999"]]), GOOD_MATRIX, "labels: not an in-scope"),
-        (good_header(labels="CWE-119"), GOOD_MATRIX, "labels must hold one non-empty list"),
-        (good_header(labels=[["CWE-119"], [119]]), GOOD_MATRIX, "in-scope CWE label: 119"),
     ],
     ids=[
         "string-value",
@@ -320,9 +332,6 @@ def test_a_hand_written_index_file_loads(tmp_path):
         "huge-int",
         "list-line",
         "string-line",
-        "unknown-label",
-        "labels-not-a-list",
-        "labels-not-strings",
     ],
 )
 def test_load_rejects_malformed_numbers_with_line_number(tmp_path, header, matrix, error):
@@ -331,7 +340,7 @@ def test_load_rejects_malformed_numbers_with_line_number(tmp_path, header, matri
     path = tmp_path / "index.bin"
     write_index_file(path, header, matrix, allow_pickle=matrix.dtype == object)
     with pytest.raises(VecIndexError, match=error):
-        load_index(path)
+        load_good_split(path)
 
 
 @pytest.mark.parametrize(
@@ -339,16 +348,11 @@ def test_load_rejects_malformed_numbers_with_line_number(tmp_path, header, matri
     [
         (good_header(), np.array([[1.0, 0.0], [0.0, np.nan]]), "row 'b' has norm nan"),
         (good_header(), np.array([[1.0, 0.0], [0.6, 0.6]]), "row 'b' has norm 0.84"),
-        (good_header(), np.array([[1.0, 0.0]]), r"matrix is float64 \(1, 2\)"),
+        (good_header(), np.array([[1.0, 0.0]]), r"float64 \(1, 2\), expected float64 \(2, dim\)"),
         (good_header(), np.zeros((2, 0)), r"matrix is float64 \(2, 0\)"),
         (good_header(), np.zeros((2, 2, 1)), r"matrix is float64 \(2, 2, 1\)"),
         (good_header(), np.array([[1, 0], [0, 1]]), "matrix is int64"),
-        (good_header(ids=["a", "a"]), GOOD_MATRIX, "ids must be a non-empty list of unique"),
-        (good_header(ids=["a", ""]), GOOD_MATRIX, "ids must be a non-empty list"),
-        (good_header(ids=[], labels=[]), GOOD_MATRIX[:0], "ids must be a non-empty list"),
-        (good_header(labels=[["CWE-119"], []]), GOOD_MATRIX, "labels must hold one non-empty list"),
-        (good_header(labels=[["CWE-119"]]), GOOD_MATRIX, "labels must hold one non-empty list"),
-        (good_header(built_from=[1]), GOOD_MATRIX, "built_from must be a mapping or null"),
+        (good_header(built_from=[1]), GOOD_MATRIX, "has no built_from stamp; rebuild it with"),
         (good_header(format="vulnprompt-index/2"), GOOD_MATRIX, "is not a vulnprompt-index/1 file"),
     ],
     ids=[
@@ -358,11 +362,6 @@ def test_load_rejects_malformed_numbers_with_line_number(tmp_path, header, matri
         "zero-dimension",
         "three-axes",
         "int-matrix",
-        "duplicate-id",
-        "empty-id",
-        "no-ids",
-        "empty-labels",
-        "labels-short",
         "built-from-not-a-mapping",
         "other-format",
     ],
@@ -371,7 +370,33 @@ def test_load_rejects_an_inconsistent_index_file(tmp_path, header, matrix, error
     path = tmp_path / "index.bin"
     write_index_file(path, header, matrix)
     with pytest.raises(VecIndexError, match=error):
-        load_index(path)
+        load_good_split(path)
+
+
+@pytest.mark.parametrize("built_from", [None, "absent"], ids=["null", "absent"])
+def test_load_refuses_a_file_without_a_stamp(tmp_path, built_from):
+    header = good_header(built_from=built_from)
+    if built_from == "absent":
+        del header["built_from"]
+    path = tmp_path / "index.bin"
+    write_index_file(path, header, GOOD_MATRIX)
+    with pytest.raises(
+        VecIndexError,
+        match=f"index {path} has no built_from stamp; rebuild it with `vulnprompt index build`$",
+    ):
+        load_good_split(path)
+
+
+def test_load_names_every_stamp_key_that_differs(tmp_path):
+    path = tmp_path / "index.bin"
+    write_index_file(path, good_header(built_from={**STAMP, "extra": 1}), GOOD_MATRIX)
+    expected = {**STAMP, "include_labels": False, "train_sha256": "1" * 64}
+    with pytest.raises(
+        VecIndexError,
+        match=f"index {path} does not match this run in extra, include_labels, train_sha256; "
+        "rebuild it with `vulnprompt index build`$",
+    ):
+        load_good_split(path, expected)
 
 
 @pytest.mark.parametrize(
@@ -386,10 +411,10 @@ def test_load_rejects_an_inconsistent_index_file(tmp_path, header, matrix, error
 )
 def test_load_rejects_a_damaged_payload(tmp_path, damage):
     path = tmp_path / "index.bin"
-    save_index(build([entry("a", (1, 0)), entry("b", (0, 1))]), path)
+    save_index(build([entry("a", (1, 0)), entry("b", (0, 1))], built_from=STAMP), path)
     path.write_bytes(damage(path.read_bytes()))
     with pytest.raises(VecIndexError, match="unreadable matrix payload"):
-        load_index(path)
+        load_good_split(path)
 
 
 @settings(max_examples=30, deadline=None)
