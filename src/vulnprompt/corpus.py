@@ -11,13 +11,15 @@ dropped during ingestion and counted in the stats.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .fileio import atomic_write_text, is_utf8_text
-from .labels import ALL_LABELS, LABEL_BY_CODE, CweLabel, label_codes
+from .labels import ALL_LABELS, LABEL_BY_CODE, CweLabel, format_labels, label_codes
 
 SPLITS = ("train", "test")
 FIELDS = ("id", "code", "labels", "split")
@@ -76,6 +78,16 @@ class Corpus:
 
     def by_id(self) -> dict:
         return {sample.id: sample for sample in self.samples}
+
+    @functools.cached_property
+    def train_sha256(self) -> str:
+        """The digest that names the train split: one SHA-256 over each train
+        sample's id, labels and code (their UTF-8 lengths first), in split order."""
+        digest = hashlib.sha256()
+        for sample in self.train:
+            fields = [t.encode() for t in (sample.id, format_labels(sample.truth), sample.code)]
+            digest.update(b"%d:%d:%d:" % tuple(map(len, fields)) + b"".join(fields))
+        return digest.hexdigest()
 
 
 @dataclass(frozen=True)

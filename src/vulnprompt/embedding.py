@@ -150,9 +150,8 @@ class HashedBagOfTokensBackend:
         return {"backend": "hashed", "dimension": self.dimension, "hash_key": _HASH_KEY.decode()}
 
     def embed(self, item: EmbeddingInput) -> EmbeddingVector:
+        # EmbeddingInput refuses blank code, so the text has at least one token.
         tokens = tokenize(item.rendered_text())
-        if not tokens:
-            raise EmbeddingError("input produced no tokens")
         indices, signs = zip(*map(self._coordinate, tokens))
         accum = np.bincount(indices, weights=signs, minlength=self.dimension)
         norm = math.sqrt(float(accum @ accum))

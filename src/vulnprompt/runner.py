@@ -56,7 +56,6 @@ rate that its counts contradict raises RunnerError naming it.
 from __future__ import annotations
 
 import functools
-import hashlib
 import io
 import json
 import os
@@ -78,7 +77,7 @@ from .corpus import Corpus, ingest
 from .embedding import EmbeddingInput, HashedBagOfTokensBackend, RemoteEmbeddingBackend
 from .fileio import atomic_open, atomic_write_text
 from .labeling import ParseOutcome, parse_labels, retrieval_label
-from .labels import CweLabel, format_labels
+from .labels import CweLabel
 from .llmclient import (
     CompletionRequest,
     FixedProvider,
@@ -215,17 +214,11 @@ class RunReport:
 
 
 def index_stamp(corpus: Corpus, backend, include_labels: bool) -> dict:
-    """What an index of `corpus`'s train split embedded by `backend` is built from.
-
-    The backend's identity, the label setting, and one SHA-256 over each train
-    sample's id, labels and code (their lengths first), in split order.
-    """
-    digest = hashlib.sha256()
-    for sample in corpus.train:
-        fields = [t.encode("utf-8") for t in (sample.id, format_labels(sample.truth), sample.code)]
-        digest.update(b"%d:%d:%d:" % tuple(map(len, fields)) + b"".join(fields))
+    """What an index of `corpus`'s train split embedded by `backend` is built
+    from: the backend's identity, the label setting, and the split's digest,
+    `Corpus.train_sha256`."""
     return {**backend.identity, "include_labels": include_labels,
-            "train_sha256": digest.hexdigest()}
+            "train_sha256": corpus.train_sha256}
 
 
 def build_index_from_corpus(
@@ -382,7 +375,6 @@ def run(config: ExperimentConfig, *, provider=None, embed_backend=None) -> RunRe
                 index = load_index(
                     config.index_path,
                     [sample.id for sample in corpus.train],
-                    [sample.truth for sample in corpus.train],
                     index_stamp(corpus, backend, config.include_labels_in_index),
                 )
             else:

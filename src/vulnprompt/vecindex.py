@@ -39,8 +39,8 @@ OpenBLAS 0.3.31, and `tests/test_blocked_ranking.py` checks both claims.
 An index file is one JSON header line, holding the format and the
 `built_from` stamp, followed by the matrix as one .npy payload, so the rows
 load bit for bit as they were held, and nothing in the file is unpickled.
-The file keeps no ids or labels: the stamp pins the train split they come
-from, and the run that loads the file supplies them from its corpus.
+The file keeps no ids or labels: the stamp pins the train split, and the
+run that loads the file supplies the split's ids from its corpus.
 """
 
 from __future__ import annotations
@@ -97,17 +97,15 @@ class Neighbor:
 
 @dataclass(frozen=True, eq=False)
 class VectorIndex:
-    """Immutable index: one read-only float64 matrix, its row ids and truths.
+    """Immutable index: one read-only float64 matrix and its row ids; no labels.
 
-    Row i of `matrix` is the unit vector of sample `ids[i]`, whose
-    ground-truth labels are `truths[i]`. The matrix is the only copy of the
-    vectors. `built_from` is the provenance stamp of an index built from a
-    corpus (see `runner.index_stamp`), and None for one built from bare entries.
+    Row i of `matrix` is the unit vector of sample `ids[i]`. The matrix is
+    the only copy of the vectors. `built_from` is the provenance stamp of an
+    index built from a corpus, and None for one built from bare entries.
     """
 
     ids: tuple[str, ...]
     matrix: np.ndarray
-    truths: tuple
     built_from: dict | None = None
 
     @property
@@ -115,7 +113,7 @@ class VectorIndex:
         return int(self.matrix.shape[1])
 
     def __len__(self) -> int:
-        return len(self.truths)
+        return len(self.ids)
 
 
 def build(entries, count: int | None = None, built_from: dict | None = None) -> VectorIndex:
@@ -132,7 +130,6 @@ def build(entries, count: int | None = None, built_from: dict | None = None) -> 
         entries = tuple(entries)
         count = len(entries)
     ids: list[str] = []
-    truths: list[frozenset] = []
     seen: set[str] = set()
     matrix = None
     for row, entry in enumerate(entries):
@@ -150,13 +147,12 @@ def build(entries, count: int | None = None, built_from: dict | None = None) -> 
             )
         matrix[row] = entry.vector.values
         ids.append(entry.sample_id)
-        truths.append(entry.truth)
     if matrix is None:
         raise VecIndexError("cannot build an index from zero entries")
     if len(ids) != count:
         raise VecIndexError(f"got {len(ids)} entries, {count} announced")
     matrix.flags.writeable = False
-    return VectorIndex(tuple(ids), matrix, tuple(truths), built_from)
+    return VectorIndex(tuple(ids), matrix, built_from)
 
 
 def top_k(index: VectorIndex, query: EmbeddingVector | Iterable[EmbeddingVector], k: int) -> list:
@@ -238,14 +234,14 @@ def save_index(index: VectorIndex, path: str | Path) -> None:
         np.lib.format.write_array(handle, index.matrix, allow_pickle=False)
 
 
-def load_index(path: str | Path, ids, truths, built_from: dict) -> VectorIndex:
+def load_index(path: str | Path, ids, built_from: dict) -> VectorIndex:
     """Read a file written by save_index as the index of a train split.
 
-    `ids` and `truths` are the split's sample ids and label sets in split
-    order, and `built_from` the stamp its index must carry. A file whose
-    stamp differs is refused, naming every differing key, before its matrix
-    is read; then the matrix must hold one unit row per id. Keys other than
-    `format` and `built_from` in the header are ignored.
+    `ids` are the split's sample ids in split order, and `built_from` the
+    stamp its index must carry. A file whose stamp differs is refused, naming
+    every differing key, before its matrix is read; then the matrix must hold
+    one unit row per id. Keys other than `format` and `built_from` in the
+    header are ignored.
     """
     if Path(path).is_dir():
         raise VecIndexError(f"index path {path} is a directory, not an index file")
@@ -283,4 +279,4 @@ def load_index(path: str | Path, ids, truths, built_from: dict) -> VectorIndex:
         row = bad[0]
         raise VecIndexError(f"{path}: row {ids[row]!r} has norm {float(norms[row])!r}, not 1.0")
     matrix.flags.writeable = False
-    return VectorIndex(ids, matrix, tuple(truths), found)
+    return VectorIndex(ids, matrix, found)

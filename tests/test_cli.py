@@ -267,8 +267,8 @@ def unstamped_index(workdir, index_path):
     corpus = ingest(workdir / "corpus.jsonl")
     index = build_index_from_corpus(corpus, HashedBagOfTokensBackend(256))
     entries = [
-        IndexEntry(sample_id=i, vector=EmbeddingVector(values=row), truth=truth)
-        for i, row, truth in zip(index.ids, index.matrix, index.truths)
+        IndexEntry(sample_id=sample.id, vector=EmbeddingVector(values=row), truth=sample.truth)
+        for sample, row in zip(corpus.train, index.matrix)
     ]
     save_index(build(entries), index_path)
 

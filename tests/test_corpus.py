@@ -18,6 +18,7 @@ from vulnprompt.corpus import (
     validate,
 )
 from vulnprompt.labels import CweLabel, label_set
+from vulnprompt.synthetic import make_synthetic_corpus
 
 
 def write_jsonl(path, records):
@@ -218,6 +219,38 @@ def test_corpus_rejects_cross_split_duplicate_ids():
     sample = CodeSample(id="a", code="int f();", truth=label_set(["CWE-119"]))
     with pytest.raises(ValueError, match="duplicate sample id"):
         Corpus(train=(sample,), test=(sample,))
+
+
+def test_train_sha256_of_the_standard_fixture_is_pinned(tmp_path, synthetic_corpus):
+    """The split digest that saved indexes carry in their stamps: a change to
+    it makes every saved index fail to load."""
+    digest = "1ba3c8af28b424930d9c2a06995ca6115b0ff4918351bc2c6efe92da6dfcd7bb"
+    assert make_synthetic_corpus(seed=7, n_per_label=25).train_sha256 == digest
+    path = tmp_path / "corpus.jsonl"
+    dump_jsonl(synthetic_corpus, path)
+    assert ingest(path).train_sha256 == digest
+
+
+def test_train_sha256_reads_ids_labels_and_code_of_the_train_split_only():
+    a = CodeSample(id="a", code="int f();", truth=label_set(["CWE-119"]))
+    b = CodeSample(id="b", code="int g();", truth=label_set(["CWE-120"]))
+    base = Corpus(train=(a,), test=(b,)).train_sha256
+    assert Corpus(train=(a,), test=()).train_sha256 == base
+    for changed in (
+        CodeSample(id="c", code=a.code, truth=a.truth),
+        CodeSample(id="a", code="int h();", truth=a.truth),
+        CodeSample(id="a", code=a.code, truth=label_set(["CWE-119", "CWE-476"])),
+    ):
+        assert Corpus(train=(changed,), test=(b,)).train_sha256 != base
+    # Each sample's lengths come first, so bytes moved from one sample's code
+    # to the next sample's id change the digest.
+    moved = [
+        (CodeSample(id="a", code="int f();" + tail, truth=a.truth),
+         CodeSample(id=head + "b", code=b.code, truth=b.truth))
+        for tail, head in (("x", ""), ("", "x"))
+    ]
+    first, second = (Corpus(train=train, test=()).train_sha256 for train in moved)
+    assert first != second
 
 
 def test_validate_sizes_and_counts():

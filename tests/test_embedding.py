@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import re
+import sys
 from collections import Counter
 
 import numpy as np
@@ -98,6 +100,28 @@ def test_rendered_text_appends_label_suffix():
 def test_tokenize_splits_identifier_and_punctuation_runs():
     assert tokenize("int x = a+b;") == ["int", "x", "=", "a", "+", "b", ";"]
     assert tokenize("buf[i]->next") == ["buf", "[", "i", "]->", "next"]
+
+
+def test_every_input_that_strip_keeps_has_a_token():
+    """EmbeddingInput refuses code that strip() leaves empty, and embed relies
+    on every other input having a token: tokenize keeps each character that
+    is not whitespace, and str.isspace and re's \\s agree on every code point."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    spaces = [c for c in every if c.isspace()]
+    assert re.findall(r"\s", every) == spaces
+    assert "".join(tokenize(every)) == "".join(c for c in every if not c.isspace())
+    assert "".join(spaces).strip() == ""
+    with pytest.raises(EmbeddingError, match="code must be non-empty"):
+        EmbeddingInput(code="".join(spaces))
+
+
+def test_embed_refuses_tokens_that_cancel():
+    """At dimension 1 every token lands on coordinate 0, "a" with sign -1
+    and "c" with sign +1, so their sum is the zero vector."""
+    backend = HashedBagOfTokensBackend(1)
+    assert [token_coordinate(t, 1) for t in ("a", "c")] == [(0, -1.0), (0, 1.0)]
+    with pytest.raises(EmbeddingError, match="token contributions cancelled to a zero vector"):
+        backend.embed(EmbeddingInput(code="a c"))
 
 
 def test_embed_deterministic_bitwise():

@@ -27,7 +27,7 @@ from vulnprompt.prompting import (
     shot_label_lines,
     shots_from_neighbors,
 )
-from vulnprompt.vecindex import top_k
+from vulnprompt.vecindex import Neighbor, top_k
 
 
 def make_pool(n):
@@ -131,6 +131,13 @@ def test_shots_from_neighbors_follow_top_k_order(
     assert shots == tuple(samples_by_id[n.sample_id] for n in neighbors)
     reversed_shots = shots_from_neighbors(neighbors, samples_by_id, ShotOrder.SIMILAR_LAST)
     assert list(reversed_shots) == list(shots[::-1])
+
+
+def test_shots_from_neighbors_refuses_an_id_the_corpus_lacks():
+    samples_by_id = {shot.id: shot for shot in (make_shot(0), make_shot(1))}
+    neighbors = [Neighbor("s000", 0.9), Neighbor("gone", 0.5)]
+    with pytest.raises(PromptError, match="neighbor id 'gone' not found in corpus"):
+        shots_from_neighbors(neighbors, samples_by_id, ShotOrder.SIMILAR_FIRST)
 
 
 def hasher_pool(non_ascii):

@@ -9,6 +9,7 @@ import re
 import sqlite3
 import threading
 from contextlib import closing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from vulnprompt import llmclient, prompting, runner
 from vulnprompt.config import (
     DEFAULT_SHOT_COUNTS,
     ConfigError,
+    EmbeddingSettings,
     ExperimentConfig,
     ProviderSettings,
     from_plain,
@@ -656,15 +658,14 @@ def test_an_index_file_with_ids_and_labels_in_its_header_gives_the_same_records(
     header = {
         "format": INDEX_FORMAT,
         "ids": list(index.ids),
-        "labels": [label_codes(truth) for truth in index.truths],
+        "labels": [label_codes(s.truth) for s in small_corpus.train],
         "built_from": index.built_from,
     }
     with open(older, "wb") as handle:
         handle.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         np.lib.format.write_array(handle, index.matrix, allow_pickle=False)
-    loaded = load_index(older, [s.id for s in small_corpus.train],
-                        [s.truth for s in small_corpus.train], index.built_from)
-    assert (loaded.ids, loaded.truths) == (index.ids, index.truths)
+    loaded = load_index(older, [s.id for s in small_corpus.train], index.built_from)
+    assert loaded.ids == index.ids
     assert loaded.built_from == index.built_from
     assert loaded.matrix.tobytes() == index.matrix.tobytes()
     written = []
@@ -672,6 +673,36 @@ def test_an_index_file_with_ids_and_labels_in_its_header_gives_the_same_records(
         out = tmp_path / name
         run(make_config(small_corpus_path, out, index_path=str(path), shot_counts=(1, 3)),
             provider=ParrotProvider())
+        written.append((out / "records.jsonl").read_bytes())
+    assert written[0] == written[1]
+
+
+# Written by an earlier build: the n_per_label 5 synthetic corpus, and an index
+# of its train split at hashed dimension 16 with labels included.
+SAVED_INDEX_DIR = Path(__file__).parent / "data" / "saved_index"
+
+
+def test_a_committed_index_file_gives_the_records_of_an_index_built_in_memory(tmp_path):
+    """An index file saved before the split digest moved into the corpus still
+    matches this build's stamp, and ranks as the index this build embeds."""
+    corpus_path = SAVED_INDEX_DIR / "corpus.jsonl"
+    index_path = SAVED_INDEX_DIR / "index.bin"
+    backend = HashedBagOfTokensBackend(16)
+    corpus = ingest(corpus_path)
+    header = json.loads(index_path.read_bytes().partition(b"\n")[0])
+    assert header["built_from"] == runner.index_stamp(corpus, backend, True)
+    loaded = load_index(index_path, [s.id for s in corpus.train], header["built_from"])
+    built = build_index_from_corpus(corpus, backend, include_labels=True)
+    assert loaded.matrix.tobytes() == built.matrix.tobytes()
+    written = []
+    for name, path in (("loaded", index_path), ("built", None)):
+        out = tmp_path / name
+        config = make_config(
+            corpus_path, out, index_path=path and str(path), shot_counts=(1, 3),
+            strategies=(Strategy.RETRIEVAL_FEW_SHOT, Strategy.RETRIEVAL_LABELING),
+            embedding=EmbeddingSettings(dimension=16),
+        )
+        run(config, provider=ParrotProvider())
         written.append((out / "records.jsonl").read_bytes())
     assert written[0] == written[1]
 

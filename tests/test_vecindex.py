@@ -60,6 +60,16 @@ def test_build_rejects_empty():
         build([])
 
 
+@pytest.mark.parametrize(
+    ("sample_id", "labels", "error"),
+    [("", ("CWE-119",), "sample_id must be non-empty"), ("a", (), "'a': truth must be non-empty")],
+    ids=["empty-id", "empty-truth"],
+)
+def test_index_entry_rejects_an_empty_id_or_truth(sample_id, labels, error):
+    with pytest.raises(VecIndexError, match=error):
+        entry(sample_id, (1, 0), labels=labels)
+
+
 def test_build_rejects_duplicate_ids():
     with pytest.raises(VecIndexError, match="duplicate"):
         build([entry("a", (1, 0)), entry("a", (0, 1))])
@@ -113,7 +123,6 @@ def test_corpus_index_build_holds_one_copy_of_the_vectors():
     )
     assert index.matrix.tobytes() == expected.tobytes()
     assert list(index.ids) == [s.id for s in corpus.train]
-    assert index.truths == tuple(s.truth for s in corpus.train)
 
 
 def test_top_k_hand_example():
@@ -227,7 +236,7 @@ STAMP = {"backend": "test", "include_labels": True, "train_sha256": "0" * 64}
 
 def load_split(path, index, stamp=STAMP):
     """Load `path` as the index of the split that `index` holds."""
-    return load_index(path, index.ids, index.truths, stamp)
+    return load_index(path, index.ids, stamp)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -240,7 +249,6 @@ def test_save_load_round_trip(tmp_path):
     save_index(index, path)
     loaded = load_split(path, index)
     assert list(loaded.ids) == ["a", "b"]
-    assert loaded.truths == index.truths
     assert loaded.built_from == STAMP
     assert loaded.matrix.tobytes() == index.matrix.tobytes()  # bit-identical rows
 
@@ -268,7 +276,6 @@ def test_index_keeps_one_read_only_matrix(tmp_path):
         assert held.matrix.shape == (3, 2) and held.matrix.dtype == np.float64
         with pytest.raises(ValueError, match="read-only"):
             held.matrix[0, 0] = 0.0
-        assert held.truths == (label_set(["CWE-119"]),) * 3
 
 
 def test_load_rejects_malformed(tmp_path):
@@ -276,14 +283,14 @@ def test_load_rejects_malformed(tmp_path):
     path = tmp_path / "index.jsonl"
     path.write_text('{"id": "a", "vector": [1.0, 0.0], "labels": ["CWE-119"]}\n', encoding="utf-8")
     with pytest.raises(VecIndexError, match="rebuild it with `vulnprompt index build`"):
-        load_index(path, ["a"], [label_set(["CWE-119"])], STAMP)
+        load_index(path, ["a"], STAMP)
 
 
 def test_load_rejects_a_file_whose_first_line_is_not_json(tmp_path):
     path = tmp_path / "index.zip"
     path.write_bytes(b"PK\x03\x04\x14\x00\x00\x00\x08\x00\xff\xfe\n\x00")
     with pytest.raises(VecIndexError, match=f"is not a {INDEX_FORMAT} file"):
-        load_index(path, ["a"], [label_set(["CWE-119"])], STAMP)
+        load_index(path, ["a"], STAMP)
 
 
 def write_index_file(path, header, matrix, allow_pickle=False):
@@ -301,17 +308,16 @@ def good_header(**changes):
 
 GOOD_MATRIX = np.array([[1.0, 0.0], [0.0, 1.0]])
 GOOD_IDS = ("a", "b")
-GOOD_TRUTHS = (label_set(["CWE-119"]), label_set(["CWE-120"]))
 
 
 def load_good_split(path, stamp=STAMP):
-    return load_index(path, GOOD_IDS, GOOD_TRUTHS, stamp)
+    return load_index(path, GOOD_IDS, stamp)
 
 
 def test_a_hand_written_index_file_loads(tmp_path):
     write_index_file(tmp_path / "index.bin", good_header(), GOOD_MATRIX)
     index = load_good_split(tmp_path / "index.bin")
-    assert list(index.ids) == ["a", "b"] and index.truths == GOOD_TRUTHS
+    assert list(index.ids) == ["a", "b"]
     assert index.built_from == STAMP
 
 
